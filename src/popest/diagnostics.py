@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset
-from .mle import FittedModel
+from .mle import FittedModel, linearized_ols
 
 _KAPPA_POISSON = 1e-8
 
@@ -75,11 +75,9 @@ def _linearized_stats(m, n, N) -> tuple[float, float, float, float]:
     logratio = np.log(n) - np.log(N)
     corr1 = _pearson_corr(y, logN)
     corr2 = _pearson_corr(y, logratio)
-    A = np.column_stack([logN, logratio])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        coef = np.array([np.nan, np.nan])
-    return corr1, corr2, float(coef[0]), float(coef[1])
+    ols = linearized_ols(m, logN, logratio)
+    coef_logN, coef_logratio = (np.nan, np.nan) if ols is None else ols[:2]
+    return corr1, corr2, coef_logN, coef_logratio
 
 
 def linearized_check(data: Dataset) -> LinearizedCheck:

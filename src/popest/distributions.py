@@ -140,18 +140,19 @@ def _log_f1(family: Family, mu, phi):
     return _log_f0(family, mu, phi) + np.log(phi) + np.log(mu) - np.log(mu + phi)
 
 
-def _log_trunc_denominator(fam: CountFamily, mu, phi):
-    """log(1 - f(0) [- f(1)]) for the family's truncation."""
-    if fam.truncation is Truncation.NONE:
-        return np.zeros_like(np.asarray(mu, dtype=float))
+def _trunc_normalizer(fam: CountFamily, mu, phi):
+    """(d, log d) with d = 1 - f(0) [- f(1)], the mass of the truncated support.
+
+    Only for truncated families.
+    """
     lf0 = _log_f0(fam.family, mu, phi)
-    if fam.truncation is Truncation.ZERO:
-        return _log1mexp(lf0)
-    lf1 = _log_f1(fam.family, mu, phi)
-    denom = -np.expm1(lf0) - np.exp(lf1)
-    if np.any(denom <= 0):
-        raise NumericalError("zero-one-truncated support carries no mass")
-    return np.log(denom)
+    d = -np.expm1(lf0)
+    if fam.truncation is Truncation.ZERO_ONE:
+        d = d - np.exp(_log_f1(fam.family, mu, phi))
+    if np.any(d <= 0):
+        raise NumericalError("truncated support carries no mass")
+    log_d = _log1mexp(lf0) if fam.truncation is Truncation.ZERO else np.log(d)
+    return d, log_d
 
 
 def log_pmf(family: CountFamily, eta: EtaPoint, m) -> float | np.ndarray:
@@ -169,8 +170,9 @@ def log_pmf(family: CountFamily, eta: EtaPoint, m) -> float | np.ndarray:
         base = _poisson_logpmf(mu, m_arr)
     else:
         base = _nb2_logpmf(mu, phi, m_arr)
-    out = base - _log_trunc_denominator(family, mu, phi)
-    return float(out) if np.isscalar(m) else out
+    if family.truncation is not Truncation.NONE:
+        base = base - _trunc_normalizer(family, mu, phi)[1]
+    return float(base) if np.isscalar(m) else base
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +227,7 @@ def zhang_approx_loglik_term(mu, phi, m):
     """Reduced NB2 log-likelihood term with log-Gamma replaced by the
     truncated Stirling expansion; drops the Stirling remainder integral.
     """
-    _check_params(mu, phi, True)
-    mu = np.asarray(mu, dtype=float)
-    m = np.asarray(m, dtype=float)
-    out = (
-        m * np.log(mu)
-        - (m + phi) * np.log(mu + phi)
-        + (m + phi - 0.5) * np.log(m + phi)
-        + 0.5 * np.log(phi)
-    )
+    out = term_derivatives("zhang", mu, phi, m).ll
     return float(out) if out.ndim == 0 else out
 
 
@@ -363,7 +357,7 @@ def _nb2_mass_derivs(mu, phi, which: int):
 
 
 def _trunc_mass(family: Family, mu, phi, truncation: Truncation):
-    """S = f(0) [+ f(1)] and its partials; D = 1 - S is the normalizer."""
+    """Partials of S = f(0) [+ f(1)]; the normalizer is d = 1 - S."""
     if family is Family.POISSON:
         parts = [_poisson_mass_derivs(mu, 0)]
         if truncation is Truncation.ZERO_ONE:
@@ -372,7 +366,7 @@ def _trunc_mass(family: Family, mu, phi, truncation: Truncation):
         parts = [_nb2_mass_derivs(mu, phi, 0)]
         if truncation is Truncation.ZERO_ONE:
             parts.append(_nb2_mass_derivs(mu, phi, 1))
-    return [sum(p[k] for p in parts) for k in range(6)]
+    return [sum(p[k] for p in parts) for k in range(1, 6)]
 
 
 def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
@@ -428,20 +422,10 @@ def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
         ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi = _nb2_base_derivs(mu, phi, m)
 
     if fam.truncation is not Truncation.NONE:
-        s, s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(
+        d, log_d = _trunc_normalizer(fam, mu, phi)
+        s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(
             fam.family, mu, phi, fam.truncation
         )
-        if fam.truncation is Truncation.ZERO:
-            lf0 = _log_f0(fam.family, mu, phi)
-            d = -np.expm1(lf0)
-            log_d = _log1mexp(lf0)
-        else:
-            d = 1.0 - s
-            if np.any(d <= 0):
-                raise NumericalError("truncated support carries no mass")
-            log_d = np.log(d)
-        if np.any(d <= 0):
-            raise NumericalError("truncated support carries no mass")
         ll = ll - log_d
         d_mu = d_mu + s_mu / d
         d_mumu = d_mumu + s_mumu / d + (s_mu / d) ** 2

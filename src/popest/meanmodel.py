@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, StratumRecord
-from .distributions import CountFamily, term_derivatives
+from .distributions import CountFamily, NumericalError, term_derivatives
 
 
 class DesignError(ValueError):
     """Duplicate or malformed covariate term."""
-
-
-class NumericalError(RuntimeError):
-    """Non-finite likelihood/score/Hessian entries."""
 
 
 @dataclass(frozen=True)

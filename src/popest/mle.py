@@ -9,7 +9,7 @@ estimator xi = sum_i N_i^(x_i'alpha).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,50 @@ def information_criteria(loglik: float, k: int, n_obs: int) -> tuple[float, floa
     return aic, bic
 
 
-def linearized_init(data: Dataset) -> tuple[float, float, float]:
-    """OLS of log(m/N) on [log N, log(n/N)] without intercept.
+def linearized_ols(m, log_N, log_ratio) -> tuple[float, float, float] | None:
+    """No-intercept OLS of log(m/N) on [log N, log(n/N)].
 
-    Returns (alpha0, beta0, phi0) with alpha0 = 1 + coefficient of log N and
-    phi0 the inverse residual variance, clipped to [1e-6, 1e6].
+    Returns (alpha - 1, beta, phi0) with phi0 the inverse residual variance,
+    clipped to [1e-6, 1e6]; None when the design is rank-deficient.
     """
+    y = np.log(m) - log_N
+    A = np.column_stack([log_N, log_ratio])
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < 2:
+        return None
+    resid = y - A @ coef
+    var = float(resid @ resid) / max(len(y) - 2, 1)
+    phi0 = 1e6 if var <= 1e-300 else float(np.clip(1.0 / var, 1e-6, 1e6))
+    return float(coef[0]), float(coef[1]), phi0
+
+
+def linearized_start(m, log_N, log_ratio) -> tuple[float, float, float]:
+    """Newton starting values (alpha0, beta0, phi0) from ``linearized_ols``,
+    with alpha0 = 1 + the coefficient of log N.
+
+    Falls back to (0.5, 0.5, 1) with a warning when the design is rank-deficient.
+    """
+    ols = linearized_ols(m, log_N, log_ratio)
+    if ols is None:
+        warnings.warn(
+            "linearized init design is rank-deficient; "
+            "falling back to alpha0=0.5, beta0=0.5, phi0=1",
+            stacklevel=3,
+        )
+        return 0.5, 0.5, 1.0
+    coef_logN, beta0, phi0 = ols
+    return 1.0 + coef_logN, beta0, phi0
+
+
+def linearized_init(data: Dataset) -> tuple[float, float, float]:
+    """Starting values (alpha0, beta0, phi0) from the records of ``data``; see
+    ``linearized_start``."""
     if len(data.records) < 3:
         raise InitError(f"need at least 3 records, got {len(data.records)}")
     m = np.array([r.m for r in data.records], dtype=float)
     n = np.array([r.n for r in data.records], dtype=float)
-    N = np.array([r.N for r in data.records], dtype=float)
-    y = np.log(m) - np.log(N)
-    A = np.column_stack([np.log(N), np.log(n) - np.log(N)])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        warnings.warn(
-            "linearized init design is rank-deficient; "
-            "falling back to alpha0=0.5, beta0=0.5, phi0=1",
-            stacklevel=2,
-        )
-        return 0.5, 0.5, 1.0
-    resid = y - A @ coef
-    dof = len(y) - 2
-    var = float(resid @ resid) / dof if dof > 0 else 0.0
-    phi0 = 1e6 if var <= 1e-300 else float(np.clip(1.0 / var, 1e-6, 1e6))
-    return 1.0 + float(coef[0]), float(coef[1]), phi0
+    log_N = np.log(np.array([r.N for r in data.records], dtype=float))
+    return linearized_start(m, log_N, np.log(n) - log_N)
 
 
 @dataclass

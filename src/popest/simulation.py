@@ -11,15 +11,13 @@ closed form, and the zero-truncated NB2.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData, ParamVector
-from .mle import FitOptions, fit_kind
+from .mle import FitOptions, fit_kind, linearized_start
 
 VARIANT_KINDS = {
     "zhang-approx": "zhang",
@@ -96,17 +94,8 @@ def aggregate_metrics(estimates: np.ndarray, truth: float) -> dict[str, float]:
 
 
 def _init_from_arrays(m, log_N, log_ratio) -> tuple[float, float, float]:
-    # Starting values only; zero counts are clamped so the regression is finite.
-    y = np.log(np.maximum(m, 1.0)) - log_N
-    A = np.column_stack([log_N, log_ratio])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        return 0.5, 0.5, 1.0
-    resid = y - A @ coef
-    dof = max(len(y) - 2, 1)
-    var = float(resid @ resid) / dof
-    phi0 = 1e6 if var <= 1e-300 else float(np.clip(1.0 / var, 1e-6, 1e6))
-    return 1.0 + float(coef[0]), float(coef[1]), phi0
+    # Zero counts are clamped so the regression is finite.
+    return linearized_start(np.maximum(m, 1.0), log_N, log_ratio)
 
 
 def _replicate(b: int, design: SimDesign, N, n, log_N, log_ratio, mu):
@@ -146,6 +135,12 @@ def _replicate(b: int, design: SimDesign, N, n, log_N, log_ratio, mu):
 
 
 def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationReport:
+    """Fit every variant to ``design.B`` replicate panels and aggregate.
+
+    Replicates run serially. ``threads`` (and the ``POPEST_THREADS``
+    environment variable) is accepted and has no effect; results do not
+    depend on it.
+    """
     if design.B < 2:
         raise ValueError("B must be >= 2")
     if not design.population:
@@ -163,14 +158,7 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
         "xi": xi_true,
     }
 
-    if threads is None:
-        threads = int(os.environ.get("POPEST_THREADS", "1"))
-    args = [(b, design, N, n, log_N, log_ratio, mu) for b in range(design.B)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _replicate(*a), args))
-    else:
-        results = [_replicate(*a) for a in args]
+    results = [_replicate(b, design, N, n, log_N, log_ratio, mu) for b in range(design.B)]
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}

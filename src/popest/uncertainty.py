@@ -8,9 +8,7 @@ interval over order-statistic windows.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -169,6 +167,10 @@ def parametric_bootstrap(
     Per replicate: draw eta* ~ MVN(eta_hat, Cov), compute xi*, regenerate
     counts from the fitted family at mu*, refit, record (xi*, xi_hat*).
     Intervals are computed over the xi* draws; mse over the pairs.
+
+    Replicates run serially. ``threads`` (and the ``POPEST_THREADS``
+    environment variable) is accepted and has no effect; results do not
+    depend on it.
     """
     if fit.covariance is None:
         raise IntervalError("fit has no covariance; bootstrap disabled")
@@ -181,16 +183,10 @@ def parametric_bootstrap(
     mean = fit.params.stacked()
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
 
-    if threads is None:
-        threads = int(os.environ.get("POPEST_THREADS", "1"))
-    args = [
-        (b, seed, fit, md, mean, root, n_alpha, n_beta, has_phi) for b in range(B)
+    results = [
+        _replicate(b, seed, fit, md, mean, root, n_alpha, n_beta, has_phi)
+        for b in range(B)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _replicate(*a), args))
-    else:
-        results = [_replicate(*a) for a in args]
 
     draws = [(xs, xh) for xs, xh, _ in results if xh is not None]
     failures = sum(1 for _, xh, _ in results if xh is None)

@@ -8,6 +8,7 @@ from popest.diagnostics import anscombe_residual, diagnostics_report, linearized
 from popest.distributions import CountFamily
 from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, prepare
 from popest.mle import Convergence, FittedModel, linearized_init, xi_from_alpha
+from popest.simulation import _init_from_arrays
 
 
 def test_anscombe_zero_at_perfect_fit():
@@ -87,9 +88,12 @@ def test_linearized_check_recovers_generator_coefficients():
 def test_linearized_check_matches_init_coefficients():
     data = eq10_dataset(-0.3, 0.9)
     check = linearized_check(data)
-    a0, b0, _ = linearized_init(data)
-    assert check.coef_logN == pytest.approx(a0 - 1.0, abs=1e-12)
-    assert check.coef_logratio == pytest.approx(b0, abs=1e-12)
+    start = linearized_init(data)
+    m = np.array([r.m for r in data.records])
+    log_N = np.log([float(r.N) for r in data.records])
+    log_ratio = np.log([float(r.n) for r in data.records]) - log_N
+    assert _init_from_arrays(m, log_N, log_ratio) == start
+    assert (1.0 + check.coef_logN, check.coef_logratio) == start[:2]
 
 
 def test_linearized_check_constant_ratio_flags():

@@ -214,6 +214,17 @@ def test_term_derivatives_match_finite_differences(kind):
             assert float(t.d_muphi) == pytest.approx(d_muphi_fd, abs=1e-5, rel=1e-5)
 
 
+@pytest.mark.parametrize("token", ALL_TOKENS)
+def test_log_pmf_equals_term_derivatives_ll(token):
+    fam = CountFamily.from_token(token)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        mu = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+        phi = float(rng.uniform(0.2, 20.0)) if fam.has_dispersion else None
+        m = fam.support_min + int(rng.integers(0, 30))
+        assert log_pmf(fam, EtaPoint(mu, phi), m) == term_derivatives(token, mu, phi, m).ll
+
+
 def test_token_round_trip():
     for token in ALL_TOKENS:
         assert CountFamily.from_token(token).token == token
