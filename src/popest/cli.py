@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import dataio, diagnostics, mle, simulation, uncertainty
-from .distributions import CountFamily, ParameterError
+from .distributions import CountFamily, ParameterError, SupportError
 from .meanmodel import DesignSpec, ModelSpec
 
 DIST_CHOICES = ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2")
@@ -159,9 +159,12 @@ def cmd_compare(args) -> int:
     rows.sort(key=lambda r: r["bic"])
     lines = ["dist,alpha_covariates,loglik,aic,bic,xi_hat,status"]
     for r in rows:
+        status = r["status"]
+        if any(c in status for c in ',"\n'):  # failure messages can name a record key
+            status = '"' + status.replace('"', '""') + '"'
         lines.append(
             f"{r['dist']},\"{r['alpha_covariates']}\",{r['loglik']:.4f},"
-            f"{r['aic']:.4f},{r['bic']:.4f},{r['xi_hat']:.4f},{r['status']}"
+            f"{r['aic']:.4f},{r['bic']:.4f},{r['xi_hat']:.4f},{status}"
         )
     _write("\n".join(lines) + "\n", args.output)
     return 0
@@ -288,7 +291,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, dataio.SchemaError, dataio.ParseError, dataio.DuplicateKeyError,
-            dataio.PaddingError, ParameterError) as exc:
+            dataio.PaddingError, ParameterError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -4,6 +4,11 @@ Supports Poisson and NB2 (negative binomial with mean mu and dispersion phi,
 variance mu + mu^2/phi), each optionally zero-truncated or zero-one-truncated.
 A Stirling-reduced NB2 log-likelihood term is provided for the bias
 simulation; it must never be used for production fitting.
+
+Each kind's per-record log-likelihood term has one implementation,
+``term_loglik``: ``log_pmf``, ``zhang_approx_loglik_term``, the line search
+(``meanmodel.loglik_kind``) and ``term_derivatives`` all take it from there.
+``term_derivatives`` adds only the (mu, phi) derivative formulas.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def _log1mexp(a):
 
 
 # ---------------------------------------------------------------------------
-# Log-pmf
+# Log-likelihood term
 # ---------------------------------------------------------------------------
 
 def _poisson_logpmf(mu, m):
@@ -155,24 +160,46 @@ def _trunc_normalizer(fam: CountFamily, mu, phi):
     return d, log_d
 
 
+def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
+    """Per-record log-likelihood term; the one implementation for every kind.
+
+    ``kind`` is a family token (po, ztpo, zotpo, nb2, ztnb2, zotnb2) or one
+    of the simulation arms: ``zhang`` (Stirling-reduced NB2) and
+    ``nb2-mixture`` (the exact Poisson-Gamma mixture arrangement; same
+    likelihood as nb2, computed through the mixture identity).
+    """
+    fam = _kind_family(kind)
+    _check_params(mu, phi, fam.has_dispersion)
+    mu = np.asarray(mu, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if np.any(m < fam.support_min):
+        raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
+    if kind == "zhang":
+        a = mu + phi
+        b = m + phi
+        return m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
+    if kind == "nb2-mixture":
+        return (
+            m * np.log(mu)
+            + phi * np.log(phi)
+            - gammaln(m + 1.0)
+            - gammaln(phi)
+            - (m + phi) * np.log(mu + phi)
+            + gammaln(m + phi)
+        )
+    if fam.family is Family.POISSON:
+        ll = _poisson_logpmf(mu, m)
+    else:
+        ll = _nb2_logpmf(mu, phi, m)
+    if fam.truncation is not Truncation.NONE:
+        ll = ll - _trunc_normalizer(fam, mu, phi)[1]
+    return ll
+
+
 def log_pmf(family: CountFamily, eta: EtaPoint, m) -> float | np.ndarray:
     """log f(m; eta) for the chosen family and truncation."""
-    _check_params(eta.mu, eta.phi, family.has_dispersion)
-    m_arr = np.asarray(m)
-    if np.any(m_arr < family.support_min):
-        raise SupportError(
-            f"m={m} below support minimum {family.support_min} "
-            f"for truncation {family.truncation.value}"
-        )
-    mu = float(eta.mu)
-    phi = None if eta.phi is None else float(eta.phi)
-    if family.family is Family.POISSON:
-        base = _poisson_logpmf(mu, m_arr)
-    else:
-        base = _nb2_logpmf(mu, phi, m_arr)
-    if family.truncation is not Truncation.NONE:
-        base = base - _trunc_normalizer(family, mu, phi)[1]
-    return float(base) if np.isscalar(m) else base
+    out = term_loglik(family.token, eta.mu, eta.phi, m)
+    return float(out) if np.isscalar(m) else out
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +254,7 @@ def zhang_approx_loglik_term(mu, phi, m):
     """Reduced NB2 log-likelihood term with log-Gamma replaced by the
     truncated Stirling expansion; drops the Stirling remainder integral.
     """
-    out = term_derivatives("zhang", mu, phi, m).ll
+    out = term_loglik("zhang", mu, phi, m)
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,16 +272,8 @@ def _sample_untruncated(family: Family, mu, phi, rng: np.random.Generator, size)
 
 
 def sample(family: CountFamily, eta: EtaPoint, rng: np.random.Generator) -> int:
-    """One draw from the (possibly truncated) family."""
-    _check_params(eta.mu, eta.phi, family.has_dispersion)
-    lo = family.support_min
-    for _ in range(_MAX_REJECTIONS):
-        draw = int(_sample_untruncated(family.family, eta.mu, eta.phi, rng, None))
-        if draw >= lo:
-            return draw
-    raise SamplingError(
-        f"rejection sampling exceeded {_MAX_REJECTIONS} iterations at eta={eta}"
-    )
+    """One draw from the (possibly truncated) family; ``sample_many`` at one mu."""
+    return int(sample_many(family, np.array([eta.mu]), eta.phi, rng)[0])
 
 
 def sample_many(
@@ -294,13 +313,11 @@ class TermDerivs:
     d_muphi: np.ndarray | None = None
 
 
-def _poisson_base_derivs(mu, m):
-    ll = _poisson_logpmf(mu, m)
-    return ll, m / mu - 1.0, -m / mu**2
+def _poisson_derivs(mu, phi, m):
+    return m / mu - 1.0, -m / mu**2, None, None, None
 
 
-def _nb2_base_derivs(mu, phi, m):
-    ll = _nb2_logpmf(mu, phi, m)
+def _nb2_derivs(mu, phi, m):
     a = mu + phi
     d_mu = m / mu - (m + phi) / a
     d_mumu = -m / mu**2 + (m + phi) / a**2
@@ -314,20 +331,34 @@ def _nb2_base_derivs(mu, phi, m):
         + 1.0 / phi
     )
     d_muphi = (m - mu) / a**2
-    return ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi
+    return d_mu, d_mumu, d_phi, d_phiphi, d_muphi
+
+
+def _zhang_derivs(mu, phi, m):
+    a = mu + phi
+    b = m + phi
+    d_mu = m / mu - b / a
+    d_mumu = -m / mu**2 + b / a**2
+    d_phi = -np.log(a) - b / a + np.log(b) + (b - 0.5) / b + 1.0 / (2.0 * phi)
+    d_phiphi = (
+        -(2.0 * mu + phi - m) / a**2
+        + (b + 0.5) / b**2
+        - 1.0 / (2.0 * phi**2)
+    )
+    d_muphi = (m - mu) / a**2
+    return d_mu, d_mumu, d_phi, d_phiphi, d_muphi
 
 
 def _poisson_mass_derivs(mu, which: int):
-    """f(which) and its first/second mu-derivatives for Poisson."""
+    """First/second mu-derivatives of f(which) for Poisson (no phi partials)."""
     f0 = np.exp(-mu)
     if which == 0:
-        return f0, -f0, f0, 0.0, 0.0, 0.0
-    f1 = mu * f0
-    return f1, (1.0 - mu) * f0, (mu - 2.0) * f0, 0.0, 0.0, 0.0
+        return -f0, f0, 0.0, 0.0, 0.0
+    return (1.0 - mu) * f0, (mu - 2.0) * f0, 0.0, 0.0, 0.0
 
 
 def _nb2_mass_derivs(mu, phi, which: int):
-    """f(which) and its partials wrt (mu, phi) for NB2, via log-derivatives."""
+    """Partials of f(which) wrt (mu, phi) for NB2, via log-derivatives."""
     a = mu + phi
     g_mu = -phi / a
     g_mumu = phi / a**2
@@ -335,11 +366,11 @@ def _nb2_mass_derivs(mu, phi, which: int):
     g_phiphi = 1.0 / phi - 1.0 / a - mu / a**2
     g_muphi = -mu / a**2
     if which == 0:
-        logf = -phi * np.log1p(mu / phi)
+        logf = _log_f0(Family.NB2, mu, phi)
         h_mu, h_mumu = g_mu, g_mumu
         h_phi, h_phiphi, h_muphi = g_phi, g_phiphi, g_muphi
     else:
-        logf = -phi * np.log1p(mu / phi) + np.log(phi) + np.log(mu) - np.log(a)
+        logf = _log_f1(Family.NB2, mu, phi)
         h_mu = g_mu + 1.0 / mu - 1.0 / a
         h_mumu = g_mumu - 1.0 / mu**2 + 1.0 / a**2
         h_phi = g_phi + 1.0 / phi - 1.0 / a
@@ -347,7 +378,6 @@ def _nb2_mass_derivs(mu, phi, which: int):
         h_muphi = g_muphi + 1.0 / a**2
     f = np.exp(logf)
     return (
-        f,
         f * h_mu,
         f * (h_mu**2 + h_mumu),
         f * h_phi,
@@ -356,77 +386,34 @@ def _nb2_mass_derivs(mu, phi, which: int):
     )
 
 
-def _trunc_mass(family: Family, mu, phi, truncation: Truncation):
-    """Partials of S = f(0) [+ f(1)]; the normalizer is d = 1 - S."""
-    if family is Family.POISSON:
-        parts = [_poisson_mass_derivs(mu, 0)]
-        if truncation is Truncation.ZERO_ONE:
-            parts.append(_poisson_mass_derivs(mu, 1))
+def _trunc_mass(fam: CountFamily, mu, phi):
+    """Partials (mu, mumu, phi, phiphi, muphi) of S = f(0) [+ f(1)]; the
+    normalizer is d = 1 - S."""
+    which = (0, 1) if fam.truncation is Truncation.ZERO_ONE else (0,)
+    if fam.family is Family.POISSON:
+        parts = [_poisson_mass_derivs(mu, w) for w in which]
     else:
-        parts = [_nb2_mass_derivs(mu, phi, 0)]
-        if truncation is Truncation.ZERO_ONE:
-            parts.append(_nb2_mass_derivs(mu, phi, 1))
-    return [sum(p[k] for p in parts) for k in range(1, 6)]
+        parts = [_nb2_mass_derivs(mu, phi, w) for w in which]
+    return [sum(p[k] for p in parts) for k in range(5)]
 
 
 def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
-    """Per-record log-likelihood term and its (mu, phi) derivatives.
+    """``term_loglik`` and its (mu, phi) derivatives, for the same kinds.
 
-    ``kind`` is a family token (po, ztpo, zotpo, nb2, ztnb2, zotnb2) or one
-    of the simulation arms: ``zhang`` (Stirling-reduced NB2) and
-    ``nb2-mixture`` (the exact Poisson-Gamma mixture arrangement; same
-    likelihood as nb2, computed through the mixture identity).
+    ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
+    ll = term_loglik(kind, mu, phi, m)
+    fam = _kind_family(kind)
     mu = np.asarray(mu, dtype=float)
     m = np.asarray(m, dtype=float)
-
     if kind == "zhang":
-        _check_params(mu, phi, True)
-        a = mu + phi
-        b = m + phi
-        ll = m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
-        d_mu = m / mu - b / a
-        d_mumu = -m / mu**2 + b / a**2
-        d_phi = -np.log(a) - b / a + np.log(b) + (b - 0.5) / b + 1.0 / (2.0 * phi)
-        d_phiphi = (
-            -(2.0 * mu + phi - m) / a**2
-            + (b + 0.5) / b**2
-            - 1.0 / (2.0 * phi**2)
-        )
-        d_muphi = (m - mu) / a**2
-        return TermDerivs(ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
-
-    if kind == "nb2-mixture":
-        _check_params(mu, phi, True)
-        # Exact mixture arrangement of the same NB2 likelihood.
-        ll = (
-            m * np.log(mu)
-            + phi * np.log(phi)
-            - gammaln(m + 1.0)
-            - gammaln(phi)
-            - (m + phi) * np.log(mu + phi)
-            + gammaln(m + phi)
-        )
-        _, d_mu, d_mumu, d_phi, d_phiphi, d_muphi = _nb2_base_derivs(mu, phi, m)
-        return TermDerivs(ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
-
-    fam = CountFamily.from_token(kind)
-    _check_params(mu, phi, fam.has_dispersion)
-    if np.any(m < fam.support_min):
-        raise SupportError(f"count below support for {kind}")
-
-    if fam.family is Family.POISSON:
-        ll, d_mu, d_mumu = _poisson_base_derivs(mu, m)
-        d_phi = d_phiphi = d_muphi = None
+        base = _zhang_derivs
     else:
-        ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi = _nb2_base_derivs(mu, phi, m)
-
+        base = _poisson_derivs if fam.family is Family.POISSON else _nb2_derivs
+    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = base(mu, phi, m)
     if fam.truncation is not Truncation.NONE:
-        d, log_d = _trunc_normalizer(fam, mu, phi)
-        s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(
-            fam.family, mu, phi, fam.truncation
-        )
-        ll = ll - log_d
+        d = _trunc_normalizer(fam, mu, phi)[0]
+        s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(fam, mu, phi)
         d_mu = d_mu + s_mu / d
         d_mumu = d_mumu + s_mumu / d + (s_mu / d) ** 2
         if fam.has_dispersion:
@@ -436,13 +423,17 @@ def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
     return TermDerivs(ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
 
 
-def kind_needs_phi(kind: str) -> bool:
+def _kind_family(kind: str) -> CountFamily:
+    """Family and truncation of a likelihood kind; both simulation arms are
+    untruncated NB2 likelihoods."""
     if kind in ("zhang", "nb2-mixture"):
-        return True
-    return CountFamily.from_token(kind).has_dispersion
+        return CountFamily(Family.NB2)
+    return CountFamily.from_token(kind)
+
+
+def kind_needs_phi(kind: str) -> bool:
+    return _kind_family(kind).has_dispersion
 
 
 def kind_support_min(kind: str) -> int:
-    if kind in ("zhang", "nb2-mixture"):
-        return 0
-    return CountFamily.from_token(kind).support_min
+    return _kind_family(kind).support_min

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, StratumRecord
-from .distributions import CountFamily, NumericalError, term_derivatives
+from .distributions import CountFamily, NumericalError, term_derivatives, term_loglik
 
 
 class DesignError(ValueError):
@@ -148,16 +148,6 @@ def build_design(
     return X, Z, index
 
 
-def mu(record: StratumRecord, x_row, z_row, params: ParamVector) -> float:
-    """N^(x'alpha) * (n/N)^(z'beta) for one record."""
-    if record.N <= 0 or not (0 < record.n / record.N < 1):
-        raise ValueError(f"record {record.key} violates N > 0, 0 < n/N < 1")
-    log_mu = float(np.dot(x_row, params.alpha)) * np.log(record.N) + float(
-        np.dot(z_row, params.beta)
-    ) * np.log(record.n / record.N)
-    return float(np.exp(log_mu))
-
-
 @dataclass
 class ModelData:
     """Arrays the likelihood evaluates over, in fixed record order."""
@@ -201,9 +191,7 @@ def prepare(data: Dataset, design: DesignSpec) -> ModelData:
 
 
 def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
-    mu_vals = md.mu_values(params)
-    terms = term_derivatives(kind, mu_vals, params.phi, md.m)
-    ll = terms.ll
+    ll = term_loglik(kind, md.mu_values(params), params.phi, md.m)
     if not np.all(np.isfinite(ll)):
         bad = md.index[int(np.argmax(~np.isfinite(ll)))]
         raise NumericalError(f"non-finite log-likelihood term at record {bad}")

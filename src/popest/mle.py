@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, StratumRecord
-from .distributions import kind_needs_phi
+from .distributions import SupportError, kind_needs_phi, kind_support_min
 from .meanmodel import (
     DesignSpec,
     ModelData,
@@ -223,6 +223,12 @@ def fit_kind(
     convergence info). Dispersion is iterated on the log scale.
     """
     options = options or FitOptions()
+    lo = kind_support_min(kind)
+    if np.any(md.m < lo):
+        i = int(np.argmax(md.m < lo))
+        raise SupportError(
+            f"record {md.index[i]} has m={md.m[i]:g}, below the support minimum {lo} of {kind}"
+        )
     has_phi = kind_needs_phi(kind)
     n_alpha = md.X.shape[1]
     n_beta = md.Z.shape[1]

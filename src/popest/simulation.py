@@ -109,7 +109,8 @@ def _replicate(b: int, design: SimDesign, N, n, log_N, log_ratio, mu):
     lNk = log_N[keep]
     lrk = log_ratio[keep]
     ones = np.ones((len(mk), 1))
-    md = ModelData(m=mk, log_N=lNk, log_ratio=lrk, X=ones, Z=ones, index=[])
+    index = np.flatnonzero(keep).tolist()  # stratum positions, for error messages
+    md = ModelData(m=mk, log_N=lNk, log_ratio=lrk, X=ones, Z=ones, index=index)
     a0, b0, phi0 = _init_from_arrays(mk, lNk, lrk)
     start = ParamVector(alpha=np.array([a0]), beta=np.array([b0]), phi=phi0)
     out = {}

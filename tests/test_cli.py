@@ -1,5 +1,7 @@
 """Command-line interface: schemas, exit codes, report formats, determinism."""
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -73,6 +75,29 @@ def test_missing_column_is_exit_two(data_csv):
     schema = SCHEMA.replace("N=N", "N=population")
     code = main(["fit", "--data", data_csv, "--schema", schema, "--dist", "po"])
     assert code == 2
+
+
+def test_count_below_support_is_exit_two(tmp_path, capsys):
+    records = synth_records(5, 30, token="zotnb2")  # every m >= 2
+    records[7] = dataclasses.replace(records[7], m=1)
+    path = write_csv(tmp_path / "m1.csv", records)
+    code = main(["fit", "--data", path, "--schema", SCHEMA, "--dist", "zotpo"])
+    assert code == 2
+    assert f"record {records[7].key} has m=1" in capsys.readouterr().err
+
+
+def test_compare_quotes_failure_status(tmp_path, capsys):
+    records = synth_records(5, 30, token="zotnb2")
+    records[7] = dataclasses.replace(records[7], m=1)
+    path = write_csv(tmp_path / "m1.csv", records)
+    code = main(["compare", "--data", path, "--schema", SCHEMA, "--dists", "po,zotpo"])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["dist"] for r in rows] == ["po", "zotpo"]
+    assert all(None not in r for r in rows)  # no row has surplus fields
+    assert rows[1]["status"] == (
+        f"failed: record {records[7].key} has m=1, below the support minimum 2 of zotpo"
+    )
 
 
 def test_compare_grid_sorted_by_bic(data_csv, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from popest.distributions import (
@@ -16,6 +17,7 @@ from popest.distributions import (
     sample,
     sample_many,
     term_derivatives,
+    term_loglik,
     zhang_approx_loglik_term,
 )
 
@@ -223,6 +225,30 @@ def test_log_pmf_equals_term_derivatives_ll(token):
         phi = float(rng.uniform(0.2, 20.0)) if fam.has_dispersion else None
         m = fam.support_min + int(rng.integers(0, 30))
         assert log_pmf(fam, EtaPoint(mu, phi), m) == term_derivatives(token, mu, phi, m).ll
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    log_mu=st.floats(min_value=-3.0, max_value=6.0),
+    log_phi=st.floats(min_value=-3.0, max_value=4.0),
+    m=st.integers(min_value=0, max_value=2000),
+)
+def test_nb2_mixture_likelihood_equals_nb2(log_mu, log_phi, m):
+    mu, phi = 10.0**log_mu, 10.0**log_phi
+    ll = float(term_loglik("nb2", mu, phi, m))
+    mixture = float(term_loglik("nb2-mixture", mu, phi, m))
+    # The mixture arrangement cancels terms as large as phi*log(phi) against
+    # (m+phi)*log(mu+phi), so the two agree to a few roundings of the largest
+    # term, not of ll: at phi=1e4, m=0 that is about 2e-11 relative to ll.
+    scale = (
+        abs(m * np.log(mu))
+        + abs(phi * np.log(phi))
+        + gammaln(m + 1.0)
+        + abs(gammaln(phi))
+        + abs((m + phi) * np.log(mu + phi))
+        + abs(gammaln(m + phi))
+    )
+    assert abs(mixture - ll) <= 16 * np.finfo(float).eps * (1.0 + scale)
 
 
 def test_token_round_trip():

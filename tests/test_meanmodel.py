@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from popest.dataio import Dataset, StratumRecord
-from popest.distributions import CountFamily, EtaPoint, kind_needs_phi, sample
+import popest.distributions as distributions
+from popest.distributions import CountFamily, EtaPoint, kind_needs_phi, sample, term_derivatives
 from popest.meanmodel import (
     DesignError,
     DesignSpec,
@@ -13,7 +14,6 @@ from popest.meanmodel import (
     build_design,
     loglik,
     loglik_kind,
-    mu,
     prepare,
     score_and_hessian_kind,
 )
@@ -60,22 +60,27 @@ def test_unmatched_term_warns():
         build_design(dataset(rec()), design)
 
 
+def mu_values(records, params, alpha=("intercept",)):
+    """Power-link means of ``records`` under an alpha design of ``alpha`` terms."""
+    design = DesignSpec.from_tokens(list(alpha), ["intercept"])
+    return prepare(dataset(*records), design).mu_values(params)
+
+
 def test_mu_identity_exponents():
-    r = rec(N=100, n=10)
-    assert mu(r, [1.0], [0.0], ParamVector(np.array([1.0]), np.array([0.0]))) == pytest.approx(100.0)
+    params = ParamVector(np.array([1.0]), np.array([0.0]))
+    assert mu_values([rec(N=100, n=10)], params)[0] == pytest.approx(100.0)
 
 
 def test_mu_analytic_powers():
-    r = rec(N=16, n=4)
-    val = mu(r, [1.0], [1.0], ParamVector(np.array([0.5]), np.array([1.0])))
+    val = mu_values([rec(N=16, n=4)], ParamVector(np.array([0.5]), np.array([1.0])))[0]
     assert val == pytest.approx(16**0.5 * 0.25, rel=1e-14)
     assert val == pytest.approx(1.0)
 
 
 def test_mu_exponent_addition():
-    r = rec(N=100, n=10)
     params = ParamVector(np.array([0.5, 0.5]), np.array([0.0]))
-    assert mu(r, [1.0, 1.0], [1.0], params) == pytest.approx(100.0, rel=1e-12)
+    val = mu_values([rec(N=100, n=10)], params, alpha=("intercept", "country:Ukraine"))[0]
+    assert val == pytest.approx(100.0, rel=1e-12)
 
 
 def test_loglik_unit_poisson():
@@ -174,9 +179,26 @@ def test_score_and_hessian_match_finite_differences(kind):
 
 def test_chain_rule_doubling_N():
     params = ParamVector(np.array([1.0]), np.array([0.0]))
-    mu1 = mu(rec(N=100, n=10), [1.0], [1.0], params)
-    mu2 = mu(rec(N=200, n=20), [1.0], [1.0], params)
+    mu1, mu2 = mu_values([rec(N=100, n=10), rec("Georgia", N=200, n=20)], params)
     assert mu2 == pytest.approx(2 * mu1, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind", ["po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2", "zhang", "nb2-mixture"]
+)
+def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
+    # A line-search probe needs the log-likelihood only: it must give the
+    # kernel's ll exactly without evaluating psi or polygamma.
+    md, theta, has_phi = _random_instance(kind, np.random.default_rng(17))
+    params = ParamVector(theta[:1], theta[1:2], phi=float(theta[2]) if has_phi else None)
+    expect = float(np.sum(term_derivatives(kind, md.mu_values(params), params.phi, md.m).ll))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("log-likelihood evaluation reached the derivative kernel")
+
+    monkeypatch.setattr(distributions, "psi", forbidden)
+    monkeypatch.setattr(distributions, "polygamma", forbidden)
+    assert loglik_kind(md, kind, params) == expect
 
 
 def test_nb2_large_phi_approaches_poisson():

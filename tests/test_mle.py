@@ -1,10 +1,13 @@
 """Starting values, Newton-Raphson fitting, information criteria, xi."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from popest.dataio import Dataset, StratumRecord
-from popest.distributions import CountFamily
+from popest.distributions import CountFamily, SupportError
 from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, loglik_kind, prepare
 from popest.mle import (
     Convergence,
@@ -18,7 +21,7 @@ from popest.mle import (
     xi_from_alpha,
 )
 
-from conftest import fd_gradient, synth_dataset
+from conftest import fd_gradient, synth_dataset, synth_records
 
 
 def noise_free_dataset(a=0.7, b=0.8, count=10):
@@ -158,6 +161,15 @@ def test_non_convergence_is_flagged_not_raised(ztnb2_dataset, ztnb2_model):
     fitted = fit(ztnb2_dataset, ztnb2_model, FitOptions(max_iter=1, grad_tol=1e-12))
     assert not fitted.convergence.converged
     assert fitted.convergence.status in ("max-iterations", "stalled")
+
+
+def test_count_below_support_names_the_record():
+    records = synth_records(5, 30, token="zotnb2")  # every m >= 2
+    records[7] = dataclasses.replace(records[7], m=1)
+    data = Dataset(records=tuple(records), domain_names=("sex", "age"))
+    model = ModelSpec(family=CountFamily.from_token("zotpo"), design=DesignSpec())
+    with pytest.raises(SupportError, match=re.escape(f"record {records[7].key} has m=1")):
+        fit(data, model)
 
 
 def _manual_fit(records, alpha):

@@ -143,5 +143,19 @@ def test_keep_zeros_makes_closed_form_unbiased():
     assert abs(report.metrics["nb2-closed"]["alpha"]["rb_percent"]) < 1.0
 
 
+def test_truncated_variant_on_kept_zeros_fails_each_replicate():
+    # Kept zero counts lie below zt-nb2's support: every refit is a counted
+    # failure, and the run still completes.
+    design = SimDesign(
+        population=tuple(synthetic_population(80, 3)),
+        B=5,
+        seed=3,
+        variants=("zt-nb2",),
+        drop_zeros=False,
+    )
+    report = run_simulation(design)
+    assert report.failures["zt-nb2"] == design.B
+
+
 def test_variant_kinds_cover_all_arms():
     assert set(VARIANT_KINDS) == {"zhang-approx", "exact-gamma", "nb2-closed", "zt-nb2"}
