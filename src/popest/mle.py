@@ -9,7 +9,7 @@ estimator xi = sum_i N_i^(x_i'alpha).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .meanmodel import (
 
 _LOG_PHI_MIN = np.log(1e-6)
 _LOG_PHI_MAX = np.log(1e6)
+_MAX_HALVINGS = 30
+# Newton decrement g'(-H)^-1 g, the squared remaining step in standard errors
+# (the covariance is (-H)^-1), below which a stalled line search is converged.
+_DECREMENT_TOL = 1e-8
 
 
 class InitError(ValueError):
@@ -88,20 +92,21 @@ def linearized_init(data: Dataset) -> tuple[float, float, float]:
 
 @dataclass
 class Convergence:
+    """Why Newton stopped. ``status`` is "converged" when max|g| fell below
+    ``grad_tol``, or when no step halving could raise the log-likelihood and
+    the remaining Newton step was under 1e-4 standard errors; "stalled" when
+    no halving helped short of that; "max-iterations" otherwise."""
+
     iterations: int
     grad_norm: float
-    status: str  # converged | max-iterations | stalled
+    status: str
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -199,15 +204,12 @@ def _clip_theta(theta, has_phi):
 
 @dataclass
 class FitOptions:
+    """Newton settings: at most ``max_iter`` iterations, converged once
+    max|g| < ``grad_tol``; accepted log-likelihood values are appended to
+    ``trace`` when it is a list."""
+
     max_iter: int = 200
     grad_tol: float = 1e-6
-    # When backtracking can no longer produce a float-representable increase,
-    # accept the point as converged if the gradient is already below this.
-    stall_grad_tol: float = 1e-4
-    max_halvings: int = 30
-    start: ParamVector | None = None
-    xi_group_by: str = "country"
-    # When set, accepted log-likelihood values are appended here.
     trace: list | None = None
 
 
@@ -261,13 +263,15 @@ def fit_kind(
         try:
             np.linalg.cholesky(-H)
             step = np.linalg.solve(-H, g)
+            decrement = float(g @ step)
         except np.linalg.LinAlgError:
             # Not negative definite here: fall back to scaled gradient ascent.
             scale = float(np.max(np.abs(np.diag(H))))
             step = g / max(scale, 1.0)
+            decrement = np.inf
         accepted = False
         t = 1.0
-        for _ in range(options.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = _clip_theta(theta + t * step, has_phi)
             ll_new = objective(cand)
             if np.isfinite(ll_new) and ll_new > ll:
@@ -278,7 +282,7 @@ def fit_kind(
                 break
             t *= 0.5
         if not accepted:
-            status = "converged" if grad_norm < options.stall_grad_tol else "stalled"
+            status = "converged" if decrement < _DECREMENT_TOL else "stalled"
             break
 
     params = _params_from_internal(theta, n_alpha, n_beta, has_phi)
@@ -305,20 +309,16 @@ def xi_from_alpha(md: ModelData, alpha: np.ndarray) -> float:
 
 
 def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> FittedModel:
-    options = options or FitOptions()
     md = prepare(data, model.design)
     kind = model.family.token
     n_alpha = md.X.shape[1]
     n_beta = md.Z.shape[1]
-    if options.start is not None:
-        start = options.start
-    else:
-        a0, b0, phi0 = linearized_init(data)
-        alpha = np.zeros(n_alpha)
-        beta = np.zeros(n_beta)
-        alpha[0] = a0
-        beta[0] = b0
-        start = ParamVector(alpha=alpha, beta=beta, phi=phi0 if kind_needs_phi(kind) else None)
+    a0, b0, phi0 = linearized_init(data)
+    alpha = np.zeros(n_alpha)
+    beta = np.zeros(n_beta)
+    alpha[0] = a0
+    beta[0] = b0
+    start = ParamVector(alpha=alpha, beta=beta, phi=phi0 if kind_needs_phi(kind) else None)
     params, ll, covariance, conv = fit_kind(md, kind, start, options)
 
     mu_hat = md.mu_values(params)
@@ -341,7 +341,7 @@ def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> F
         data=md,
         domain_names=data.domain_names,
     )
-    fitted.xi_by_group = xi_decompose(fitted, options.xi_group_by)
+    fitted.xi_by_group = xi_decompose(fitted, "country")
     return fitted
 
 

@@ -98,7 +98,7 @@ def _init_from_arrays(m, log_N, log_ratio) -> tuple[float, float, float]:
     return linearized_start(np.maximum(m, 1.0), log_N, log_ratio)
 
 
-def _replicate(b: int, design: SimDesign, N, n, log_N, log_ratio, mu):
+def _replicate(b: int, design: SimDesign, log_N, log_ratio, mu):
     rng = np.random.default_rng([design.seed, b])
     fam = CountFamily(Family.NB2, Truncation.NONE)
     m = sample_many(fam, mu, design.phi_true, rng)
@@ -159,7 +159,7 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
         "xi": xi_true,
     }
 
-    results = [_replicate(b, design, N, n, log_N, log_ratio, mu) for b in range(design.B)]
+    results = [_replicate(b, design, log_N, log_ratio, mu) for b in range(design.B)]
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from popest import mle
 from popest.cli import main
 
 from conftest import synth_records
@@ -56,6 +57,17 @@ def test_fit_poisson_has_no_phi(data_csv, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert "phi" not in report["params"]
+
+
+def test_fit_real_stall_is_exit_one(data_csv, capsys, monkeypatch):
+    # A constant log-likelihood: no probe can raise it, while the score at the
+    # starting values is far from zero, so the stop is a stall, not an optimum.
+    monkeypatch.setattr(mle, "loglik_kind", lambda md, kind, params: -1.0)
+    code = main(["fit", "--data", data_csv, "--schema", SCHEMA, "--dist", "ztnb2"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["convergence"]["status"] == "stalled"
+    assert report["convergence"]["iterations"] == 1
 
 
 def test_unknown_dist_is_usage_error(data_csv):
