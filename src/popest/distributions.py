@@ -6,9 +6,9 @@ A Stirling-reduced NB2 log-likelihood term is provided for the bias
 simulation; it must never be used for production fitting.
 
 Each kind's per-record log-likelihood term has one implementation,
-``term_loglik``: ``log_pmf``, ``zhang_approx_loglik_term``, the line search
-(``meanmodel.loglik_kind``) and ``term_derivatives`` all take it from there.
-``term_derivatives`` adds only the (mu, phi) derivative formulas.
+``term_loglik``: ``log_pmf`` and the line search (``meanmodel.loglik_kind``)
+take it from there. ``term_derivatives`` returns only the (mu, phi)
+derivatives of that term; both run the same argument and support checks.
 """
 
 from __future__ import annotations
@@ -160,20 +160,29 @@ def _trunc_normalizer(fam: CountFamily, mu, phi):
     return d, log_d
 
 
-def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
-    """Per-record log-likelihood term; the one implementation for every kind.
-
-    ``kind`` is a family token (po, ztpo, zotpo, nb2, ztnb2, zotnb2) or one
-    of the simulation arms: ``zhang`` (Stirling-reduced NB2) and
-    ``nb2-mixture`` (the exact Poisson-Gamma mixture arrangement; same
-    likelihood as nb2, computed through the mixture identity).
-    """
+def _checked(kind: str, mu, phi, m):
+    """Family of ``kind`` and (mu, m) as float arrays, after the argument and
+    support checks shared by ``term_loglik`` and ``term_derivatives``."""
     fam = _kind_family(kind)
     _check_params(mu, phi, fam.has_dispersion)
     mu = np.asarray(mu, dtype=float)
     m = np.asarray(m, dtype=float)
     if np.any(m < fam.support_min):
         raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
+    return fam, mu, m
+
+
+def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
+    """Per-record log-likelihood term; the one implementation for every kind.
+
+    ``kind`` is a family token (po, ztpo, zotpo, nb2, ztnb2, zotnb2) or one
+    of the simulation arms: ``zhang`` and ``nb2-mixture`` (the exact
+    Poisson-Gamma mixture arrangement; same likelihood as nb2, computed
+    through the mixture identity). ``zhang`` is the reduced NB2 term with
+    log-Gamma replaced by the truncated Stirling expansion: it drops the
+    Stirling remainder integral, for the bias simulation only.
+    """
+    fam, mu, m = _checked(kind, mu, phi, m)
     if kind == "zhang":
         a = mu + phi
         b = m + phi
@@ -247,18 +256,6 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stirling-reduced NB2 log-likelihood term (simulation comparison arm only)
-# ---------------------------------------------------------------------------
-
-def zhang_approx_loglik_term(mu, phi, m):
-    """Reduced NB2 log-likelihood term with log-Gamma replaced by the
-    truncated Stirling expansion; drops the Stirling remainder integral.
-    """
-    out = term_loglik("zhang", mu, phi, m)
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
@@ -305,7 +302,6 @@ def sample_many(
 
 @dataclass
 class TermDerivs:
-    ll: np.ndarray
     d_mu: np.ndarray
     d_mumu: np.ndarray
     d_phi: np.ndarray | None = None
@@ -398,14 +394,12 @@ def _trunc_mass(fam: CountFamily, mu, phi):
 
 
 def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
-    """``term_loglik`` and its (mu, phi) derivatives, for the same kinds.
+    """The (mu, phi) derivatives of ``term_loglik``, for the same kinds and
+    with the same argument checks; the term itself is not evaluated.
 
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
-    ll = term_loglik(kind, mu, phi, m)
-    fam = _kind_family(kind)
-    mu = np.asarray(mu, dtype=float)
-    m = np.asarray(m, dtype=float)
+    fam, mu, m = _checked(kind, mu, phi, m)
     if kind == "zhang":
         base = _zhang_derivs
     else:
@@ -420,7 +414,7 @@ def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
             d_phi = d_phi + s_phi / d
             d_phiphi = d_phiphi + s_phiphi / d + (s_phi / d) ** 2
             d_muphi = d_muphi + s_muphi / d + s_mu * s_phi / d**2
-    return TermDerivs(ll, d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
+    return TermDerivs(d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
 
 
 def _kind_family(kind: str) -> CountFamily:

@@ -226,14 +226,3 @@ def score_and_hessian_kind(
         raise NumericalError("non-finite score or Hessian entries")
     return g, H
 
-
-def loglik(data: Dataset, model: ModelSpec, params: ParamVector) -> float:
-    md = prepare(data, model.design)
-    return loglik_kind(md, model.family.token, params)
-
-
-def score_and_hessian(
-    data: Dataset, model: ModelSpec, params: ParamVector
-) -> tuple[np.ndarray, np.ndarray]:
-    md = prepare(data, model.design)
-    return score_and_hessian_kind(md, model.family.token, params)

@@ -95,7 +95,10 @@ class Convergence:
     """Why Newton stopped. ``status`` is "converged" when max|g| fell below
     ``grad_tol``, or when no step halving could raise the log-likelihood and
     the remaining Newton step was under 1e-4 standard errors; "stalled" when
-    no halving helped short of that; "max-iterations" otherwise."""
+    no halving helped short of that; "max-iterations" otherwise.
+    ``iterations`` counts score/Hessian evaluations, the last one at the
+    returned parameters (a fit that takes all ``max_iter`` steps makes
+    ``max_iter + 1``); ``grad_norm`` is max|g| at the returned parameters."""
 
     iterations: int
     grad_norm: float
@@ -177,8 +180,6 @@ def _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi):
     if has_phi:
         phi = params.phi
         p = n_alpha + n_beta
-        g = g.copy()
-        H = H.copy()
         g_phi = g[p]
         g[p] = phi * g_phi
         H[:p, p] *= phi
@@ -252,13 +253,15 @@ def fit_kind(
         options.trace.append(ll)
 
     status = "max-iterations"
-    grad_norm = np.inf
-    it = 0
-    for it in range(1, options.max_iter + 1):
+    # One pass per evaluation of (g, H) at theta; the pass after the last
+    # allowed step only tests the returned point and keeps H for the covariance.
+    for it in range(1, max(options.max_iter, 0) + 2):
         g, H = _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < options.grad_tol:
             status = "converged"
+            break
+        if it > options.max_iter:
             break
         try:
             np.linalg.cholesky(-H)
@@ -288,7 +291,6 @@ def fit_kind(
     params = _params_from_internal(theta, n_alpha, n_beta, has_phi)
     covariance = None
     try:
-        _, H = _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi)
         cov_int = np.linalg.inv(-H)
         if has_phi:
             jac = np.ones(len(theta))

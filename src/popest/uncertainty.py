@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .distributions import sample_many
 from .mle import FitOptions, FittedModel, fit_kind, xi_from_alpha
@@ -28,7 +28,7 @@ def plugin_interval(fit: FittedModel, level: float = 0.95) -> tuple[float, float
         raise IntervalError("fit has no covariance; plug-in interval unavailable")
     n_alpha = len(fit.params.alpha)
     se_alpha = fit.se[:n_alpha]
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     alpha_lo = fit.params.alpha - z * se_alpha
     alpha_hi = fit.params.alpha + z * se_alpha
     return (

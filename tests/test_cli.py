@@ -3,10 +3,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popest
 from popest import mle
 from popest.cli import main
 
@@ -285,3 +290,14 @@ def test_simulate_byte_identical_outputs(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # The CLI needs only scipy.special; importing scipy.stats as well makes
+    # every invocation start about half a second later.
+    env = dict(os.environ, PYTHONPATH=str(Path(popest.__file__).resolve().parents[1]))
+    code = "import sys, popest.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -18,7 +18,6 @@ from popest.distributions import (
     sample_many,
     term_derivatives,
     term_loglik,
-    zhang_approx_loglik_term,
 )
 
 ALL_TOKENS = ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2")
@@ -100,7 +99,7 @@ def test_mixture_oracle_poisson_limit():
 
 def test_zhang_term_value():
     # mu=1, phi=1, m=1: -2 log 2 + 1.5 log 2 = -0.5 log 2.
-    val = zhang_approx_loglik_term(1.0, 1.0, 1)
+    val = float(term_loglik("zhang", 1.0, 1.0, 1))
     assert val == pytest.approx(-0.5 * np.log(2.0), abs=1e-14)
 
 
@@ -108,13 +107,13 @@ def test_zhang_term_drops_stirling_remainder():
     mu, phi, m = 2.3, 1.7, 5
     nb2 = CountFamily.from_token("nb2")
     exact = log_pmf(nb2, EtaPoint(mu=mu, phi=phi), m) + gammaln(m + 1.0)
-    approx = zhang_approx_loglik_term(mu, phi, m)
+    approx = float(term_loglik("zhang", mu, phi, m))
     assert abs(exact - approx) > 1e-6
 
 
 def test_parameter_errors():
     with pytest.raises(ParameterError):
-        zhang_approx_loglik_term(1.0, 0.0, 1)
+        term_loglik("zhang", 1.0, 0.0, 1)
     with pytest.raises(ParameterError):
         log_pmf(CountFamily.from_token("nb2"), EtaPoint(mu=1.0), 1)
     with pytest.raises(ParameterError):
@@ -192,7 +191,7 @@ def test_term_derivatives_match_finite_differences(kind):
         h = 1e-5
 
         def ll(mu_v, phi_v):
-            return float(term_derivatives(kind, mu_v, phi_v, m).ll)
+            return float(term_loglik(kind, mu_v, phi_v, m))
 
         d_mu_fd = (ll(mu + h, phi) - ll(mu - h, phi)) / (2 * h)
         assert float(t.d_mu) == pytest.approx(d_mu_fd, abs=1e-5, rel=1e-5)
@@ -218,13 +217,53 @@ def test_term_derivatives_match_finite_differences(kind):
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
 def test_log_pmf_equals_term_derivatives_ll(token):
+    # log_pmf is the term whose derivatives term_derivatives returns.
     fam = CountFamily.from_token(token)
     rng = np.random.default_rng(11)
     for _ in range(300):
         mu = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
         phi = float(rng.uniform(0.2, 20.0)) if fam.has_dispersion else None
         m = fam.support_min + int(rng.integers(0, 30))
-        assert log_pmf(fam, EtaPoint(mu, phi), m) == term_derivatives(token, mu, phi, m).ll
+        assert log_pmf(fam, EtaPoint(mu, phi), m) == term_loglik(token, mu, phi, m)
+
+
+@pytest.mark.parametrize("kind", list(ALL_TOKENS) + ["zhang", "nb2-mixture"])
+def test_term_derivatives_do_not_evaluate_the_term(kind, monkeypatch):
+    import popest.distributions as distributions
+    from popest.distributions import kind_needs_phi, kind_support_min
+
+    rng = np.random.default_rng(5)
+    mu = np.exp(rng.uniform(np.log(0.05), np.log(50.0), 40))
+    phi = 1.3 if kind_needs_phi(kind) else None
+    m = kind_support_min(kind) + rng.integers(0, 20, 40)
+    expect = term_derivatives(kind, mu, phi, m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("term_derivatives evaluated the log-likelihood term")
+
+    monkeypatch.setattr(distributions, "term_loglik", forbidden)
+    got = term_derivatives(kind, mu, phi, m)
+    for name in ("d_mu", "d_mumu", "d_phi", "d_phiphi", "d_muphi"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expect, name))
+
+
+@pytest.mark.parametrize(
+    "kind, mu, phi, m, error",
+    [
+        ("po", 0.0, None, 1, ParameterError),
+        ("ztnb2", -1.0, 1.0, 1, ParameterError),
+        ("nb2", 1.0, None, 1, ParameterError),
+        ("zhang", 1.0, 0.0, 1, ParameterError),
+        ("zotnb2", 1.0, -2.0, 2, ParameterError),
+        ("ztpo", 1.0, None, 0, SupportError),
+        ("zotnb2", 1.0, 1.0, 1, SupportError),
+    ],
+)
+def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):
+    with pytest.raises(error):
+        term_loglik(kind, mu, phi, m)
+    with pytest.raises(error):
+        term_derivatives(kind, mu, phi, m)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

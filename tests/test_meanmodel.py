@@ -5,14 +5,13 @@ import pytest
 
 from popest.dataio import Dataset, StratumRecord
 import popest.distributions as distributions
-from popest.distributions import CountFamily, EtaPoint, kind_needs_phi, sample, term_derivatives
+from popest.distributions import CountFamily, EtaPoint, kind_needs_phi, sample, term_loglik
 from popest.meanmodel import (
     DesignError,
     DesignSpec,
     ModelSpec,
     ParamVector,
     build_design,
-    loglik,
     loglik_kind,
     prepare,
     score_and_hessian_kind,
@@ -87,7 +86,8 @@ def test_loglik_unit_poisson():
     data = dataset(rec(m=1, n=10, N=100))
     model = ModelSpec(family=CountFamily.from_token("po"), design=DesignSpec())
     params = ParamVector(np.array([0.0]), np.array([0.0]))
-    assert loglik(data, model, params) == pytest.approx(-1.0, abs=1e-14)
+    md = prepare(data, model.design)
+    assert loglik_kind(md, model.family.token, params) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_loglik_additivity():
@@ -95,14 +95,17 @@ def test_loglik_additivity():
     two = dataset(rec(m=3, n=10, N=100), rec("Georgia", m=3, n=10, N=100))
     model = ModelSpec(family=CountFamily.from_token("po"), design=DesignSpec())
     params = ParamVector(np.array([0.4]), np.array([0.3]))
-    assert loglik(two, model, params) == pytest.approx(2 * loglik(one, model, params))
+    md_one, md_two = prepare(one, model.design), prepare(two, model.design)
+    token = model.family.token
+    assert loglik_kind(md_two, token, params) == pytest.approx(2 * loglik_kind(md_one, token, params))
 
 
 def test_loglik_ztnb2_geometric():
     data = dataset(rec(m=1, n=10, N=100))
     model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
     params = ParamVector(np.array([0.0]), np.array([0.0]), phi=1.0)
-    assert loglik(data, model, params) == pytest.approx(np.log(0.5), abs=1e-12)
+    md = prepare(data, model.design)
+    assert loglik_kind(md, model.family.token, params) == pytest.approx(np.log(0.5), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["po", "nb2"])
@@ -188,10 +191,10 @@ def test_chain_rule_doubling_N():
 )
 def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
     # A line-search probe needs the log-likelihood only: it must give the
-    # kernel's ll exactly without evaluating psi or polygamma.
+    # summed term_loglik exactly without evaluating psi or polygamma.
     md, theta, has_phi = _random_instance(kind, np.random.default_rng(17))
     params = ParamVector(theta[:1], theta[1:2], phi=float(theta[2]) if has_phi else None)
-    expect = float(np.sum(term_derivatives(kind, md.mu_values(params), params.phi, md.m).ll))
+    expect = float(np.sum(term_loglik(kind, md.mu_values(params), params.phi, md.m)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("log-likelihood evaluation reached the derivative kernel")
@@ -207,8 +210,9 @@ def test_nb2_large_phi_approaches_poisson():
     po = ModelSpec(family=CountFamily.from_token("po"), design=DesignSpec())
     params_nb2 = ParamVector(np.array([0.5]), np.array([0.4]), phi=1e6)
     params_po = ParamVector(np.array([0.5]), np.array([0.4]))
-    assert loglik(data, nb2, params_nb2) == pytest.approx(
-        loglik(data, po, params_po), abs=1e-4
+    md = prepare(data, nb2.design)
+    assert loglik_kind(md, nb2.family.token, params_nb2) == pytest.approx(
+        loglik_kind(md, po.family.token, params_po), abs=1e-4
     )
 
 

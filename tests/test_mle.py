@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from popest import mle
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily, SupportError
 from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, loglik_kind, prepare
@@ -161,6 +162,38 @@ def test_non_convergence_is_flagged_not_raised(ztnb2_dataset, ztnb2_model):
     fitted = fit(ztnb2_dataset, ztnb2_model, FitOptions(max_iter=1, grad_tol=1e-12))
     assert not fitted.convergence.converged
     assert fitted.convergence.status in ("max-iterations", "stalled")
+
+
+@pytest.mark.parametrize("token", ["po", "ztpo", "nb2", "ztnb2"])
+def test_each_iterate_is_evaluated_once(token, monkeypatch):
+    # The covariance comes from the Hessian of the last pass, so the number of
+    # score/Hessian evaluations is the reported iteration count.
+    calls = []
+    real = mle.score_and_hessian_kind
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mle, "score_and_hessian_kind", counted)
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    fitted = fit(synth_dataset(11, 40), model)
+    assert fitted.convergence.converged
+    assert len(calls) == fitted.convergence.iterations
+
+
+@pytest.mark.parametrize("token", ["po", "ztnb2"])
+def test_last_allowed_step_is_tested_at_the_returned_point(token):
+    # A fit converging after k evaluations takes k - 1 steps; allowed exactly
+    # those steps, it must evaluate the point they reach and report the same fit.
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    free = fit(synth_dataset(11, 40), model)
+    k = free.convergence.iterations
+    capped = fit(synth_dataset(11, 40), model, FitOptions(max_iter=k - 1))
+    assert capped.convergence == free.convergence
+    assert np.array_equal(capped.params.stacked(), free.params.stacked())
+    assert np.array_equal(capped.covariance, free.covariance)
+    assert capped.loglik == free.loglik
 
 
 def test_count_below_support_names_the_record():
