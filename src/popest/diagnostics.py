@@ -19,11 +19,11 @@ _KAPPA_POISSON = 1e-8
 
 def anscombe_residual(m: float, mu_hat: float, phi_hat: float | None) -> float:
     """NB2 Anscombe residual; phi_hat=None (or huge) takes the Poisson limit."""
-    if mu_hat <= 0:
-        raise ValueError("mu_hat must be positive")
+    if not 0.0 < mu_hat < np.inf:
+        raise ValueError("mu_hat must be positive and finite")
+    if phi_hat is not None and not 0.0 < phi_hat < np.inf:
+        raise ValueError("phi_hat must be positive and finite")
     kappa = 0.0 if phi_hat is None else 1.0 / float(phi_hat)
-    if phi_hat is not None and phi_hat <= 0:
-        raise ValueError("phi_hat must be positive")
     if kappa < _KAPPA_POISSON:
         # kappa -> 0 limit of the NB2 formula
         numer = 2.0 * (m - mu_hat) + 3.0 * (m ** (2.0 / 3.0) - mu_hat ** (2.0 / 3.0))

@@ -6,9 +6,11 @@ A Stirling-reduced NB2 log-likelihood term is provided for the bias
 simulation; it must never be used for production fitting.
 
 Each kind's per-record log-likelihood term has one implementation,
-``term_loglik``: ``log_pmf`` and the line search (``meanmodel.loglik_kind``)
-take it from there. ``term_derivatives`` returns only the (mu, phi)
-derivatives of that term; both run the same argument and support checks.
+``term_loglik_kernel``. The public functions (``term_loglik``, ``log_pmf``,
+``term_derivatives``) check their arguments and support on every call; the
+line search (``meanmodel.loglik_kind``) checks phi and the counts once per
+call and runs the unchecked kernel, whose non-finite terms it rejects.
+``term_derivatives`` returns only the (mu, phi) derivatives of that term.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import gammaln, psi, zeta
 
 
 class Family(str, Enum):
@@ -96,16 +97,20 @@ class EtaPoint:
     phi: float | None = None
 
 
+def _check_phi(phi) -> None:
+    if phi is None:
+        raise ParameterError("dispersion phi is required for NB2")
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)) or np.any(phi <= 0):
+        raise ParameterError("phi must be positive and finite")
+
+
 def _check_params(mu, phi, needs_phi: bool) -> None:
     mu = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
         raise ParameterError("mu must be positive and finite")
     if needs_phi:
-        if phi is None:
-            raise ParameterError("dispersion phi is required for NB2")
-        phi = np.asarray(phi, dtype=float)
-        if not np.all(np.isfinite(phi)) or np.any(phi <= 0):
-            raise ParameterError("phi must be positive and finite")
+        _check_phi(phi)
 
 
 def _log1mexp(a):
@@ -160,6 +165,11 @@ def _trunc_normalizer(fam: CountFamily, mu, phi):
     return d, log_d
 
 
+def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
+    if m.min(initial=fam.support_min) < fam.support_min:
+        raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
+
+
 def _checked(kind: str, mu, phi, m):
     """Family of ``kind`` and (mu, m) as float arrays, after the argument and
     support checks shared by ``term_loglik`` and ``term_derivatives``."""
@@ -167,13 +177,23 @@ def _checked(kind: str, mu, phi, m):
     _check_params(mu, phi, fam.has_dispersion)
     mu = np.asarray(mu, dtype=float)
     m = np.asarray(m, dtype=float)
-    if np.any(m < fam.support_min):
-        raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
+    _check_support(fam, kind, m)
     return fam, mu, m
 
 
+def check_kind_args(kind: str, phi: float | None, m: np.ndarray) -> CountFamily:
+    """Family of ``kind``, after the checks of ``term_loglik`` that do not
+    involve mu, for a scalar phi and a float array of counts; for callers of
+    ``term_loglik_kernel``."""
+    fam = _kind_family(kind)
+    if fam.has_dispersion and not (phi is not None and 0.0 < phi < np.inf):
+        _check_phi(phi)
+    _check_support(fam, kind, m)
+    return fam
+
+
 def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
-    """Per-record log-likelihood term; the one implementation for every kind.
+    """Per-record log-likelihood term, after the argument and support checks.
 
     ``kind`` is a family token (po, ztpo, zotpo, nb2, ztnb2, zotnb2) or one
     of the simulation arms: ``zhang`` and ``nb2-mixture`` (the exact
@@ -183,6 +203,15 @@ def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
     Stirling remainder integral, for the bias simulation only.
     """
     fam, mu, m = _checked(kind, mu, phi, m)
+    return term_loglik_kernel(fam, kind, mu, phi, m)
+
+
+def term_loglik_kernel(fam: CountFamily, kind: str, mu, phi, m) -> np.ndarray:
+    """``term_loglik`` without its checks; the one implementation for every
+    kind. ``fam`` is the family of ``kind`` (as ``check_kind_args`` returns
+    it) and mu, m are float arrays. A mu that is 0 or not finite gives a
+    non-finite term (or ``NumericalError`` from the truncation normalizer)
+    instead of ``ParameterError``."""
     if kind == "zhang":
         a = mu + phi
         b = m + phi
@@ -219,8 +248,11 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
     """P(m) under Poisson(mu*u) mixed over u ~ Gamma(shape=phi, rate=phi).
 
     Evaluated by adaptive quadrature of the mixing integral; used as an
-    independent cross-check on the NB2 closed form.
+    independent cross-check on the NB2 closed form. ``scipy.integrate`` is
+    imported here, so that importing the package does not load it.
     """
+    from scipy import integrate
+
     _check_params(mu, phi, True)
     if m < 0:
         raise SupportError("m must be nonnegative")
@@ -318,10 +350,10 @@ def _nb2_derivs(mu, phi, m):
     d_mu = m / mu - (m + phi) / a
     d_mumu = -m / mu**2 + (m + phi) / a**2
     d_phi = psi(m + phi) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
-    # d/dphi of d_phi
+    # d/dphi of d_phi; zeta(2, x) is the trigamma function polygamma(1, x)
     d_phiphi = (
-        polygamma(1, m + phi)
-        - polygamma(1, phi)
+        zeta(2.0, m + phi)
+        - zeta(2.0, phi)
         - 1.0 / a
         + (m - mu) / a**2
         + 1.0 / phi

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, StratumRecord
-from .distributions import CountFamily, NumericalError, term_derivatives, term_loglik
+from .distributions import (
+    CountFamily,
+    NumericalError,
+    check_kind_args,
+    term_derivatives,
+    term_loglik_kernel,
+)
 
 
 class DesignError(ValueError):
@@ -158,6 +164,12 @@ class ModelData:
     X: np.ndarray
     Z: np.ndarray
     index: list[tuple]
+    _W: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._W = np.hstack(
+            [self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]]
+        )
 
     @property
     def n_obs(self) -> int:
@@ -165,10 +177,8 @@ class ModelData:
 
     @property
     def W(self) -> np.ndarray:
-        """Stacked covariates so that log mu = W @ (alpha, beta)."""
-        return np.hstack(
-            [self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]]
-        )
+        """Stacked covariates so that log mu = W @ (alpha, beta); built once."""
+        return self._W
 
     def mu_values(self, params: ParamVector) -> np.ndarray:
         return np.exp(self.W @ np.concatenate([params.alpha, params.beta]))
@@ -191,9 +201,18 @@ def prepare(data: Dataset, design: DesignSpec) -> ModelData:
 
 
 def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
-    ll = term_loglik(kind, md.mu_values(params), params.phi, md.m)
+    """Summed log-likelihood, the line-search objective.
+
+    phi and the counts are checked once per call, and mu = exp(W gamma) not at
+    all: a mu that overflows or underflows gives a non-finite term, which
+    raises ``NumericalError`` naming the record (its position when ``index``
+    is empty).
+    """
+    fam = check_kind_args(kind, params.phi, md.m)
+    ll = term_loglik_kernel(fam, kind, md.mu_values(params), params.phi, md.m)
     if not np.all(np.isfinite(ll)):
-        bad = md.index[int(np.argmax(~np.isfinite(ll)))]
+        i = int(np.argmax(~np.isfinite(ll)))
+        bad = md.index[i] if i < len(md.index) else i
         raise NumericalError(f"non-finite log-likelihood term at record {bad}")
     return float(np.sum(ll))
 

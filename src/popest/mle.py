@@ -25,8 +25,8 @@ from .meanmodel import (
     score_and_hessian_kind,
 )
 
-_LOG_PHI_MIN = np.log(1e-6)
-_LOG_PHI_MAX = np.log(1e6)
+_LOG_PHI_MIN = float(np.log(1e-6))
+_LOG_PHI_MAX = float(np.log(1e6))
 _MAX_HALVINGS = 30
 # Newton decrement g'(-H)^-1 g, the squared remaining step in standard errors
 # (the covariance is (-H)^-1), below which a stalled line search is converged.
@@ -189,17 +189,18 @@ def _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi):
 
 
 def _params_from_internal(theta, n_alpha, n_beta, has_phi) -> ParamVector:
-    """Internal theta carries log(phi) in its last slot."""
+    """Internal theta carries log(phi) in its last slot, clipped by
+    ``_clip_theta``."""
     pv = ParamVector.unstack(theta, n_alpha, n_beta, has_phi)
     if has_phi:
-        pv.phi = float(np.exp(np.clip(theta[-1], _LOG_PHI_MIN, _LOG_PHI_MAX)))
+        pv.phi = float(np.exp(theta[-1]))
     return pv
 
 
 def _clip_theta(theta, has_phi):
     theta = np.asarray(theta, float).copy()
     if has_phi:
-        theta[-1] = np.clip(theta[-1], _LOG_PHI_MIN, _LOG_PHI_MAX)
+        theta[-1] = min(max(float(theta[-1]), _LOG_PHI_MIN), _LOG_PHI_MAX)
     return theta
 
 
@@ -214,6 +215,9 @@ class FitOptions:
     trace: list | None = None
 
 
+# A probe whose mu = exp(W gamma) overflows or underflows is rejected through
+# its non-finite log-likelihood, so its floating-point warnings are noise.
+@np.errstate(all="ignore")
 def fit_kind(
     md: ModelData,
     kind: str,

@@ -51,6 +51,13 @@ def test_anscombe_parameter_errors():
         anscombe_residual(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         anscombe_residual(1, 1.0, -1.0)
+    # zero dispersion, and NaN estimates, are refused before any arithmetic
+    with pytest.raises(ValueError):
+        anscombe_residual(1, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        anscombe_residual(1, float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        anscombe_residual(1, 1.0, float("nan"))
 
 
 def eq10_dataset(coef_logN=-0.4109, coef_logratio=0.5694, count=12):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, polygamma, zeta
 
 from popest.distributions import (
     CountFamily,
@@ -288,6 +288,13 @@ def test_nb2_mixture_likelihood_equals_nb2(log_mu, log_phi, m):
         + abs(gammaln(m + phi))
     )
     assert abs(mixture - ll) <= 16 * np.finfo(float).eps * (1.0 + scale)
+
+
+@given(x=st.floats(min_value=1e-6, max_value=1e8))
+def test_zeta_is_trigamma_bit_for_bit(x):
+    # _nb2_derivs takes trigamma as zeta(2, x): scipy's polygamma(1, x) is
+    # 1.0 * 1.0 * zeta(2, x), so the two must agree exactly, not just closely.
+    assert zeta(2.0, x) == polygamma(1, x)
 
 
 def test_token_round_trip():

@@ -1,14 +1,26 @@
 """Design matrices, power-link mean, log-likelihood, score and Hessian."""
 
+import re
+
 import numpy as np
 import pytest
 
 from popest.dataio import Dataset, StratumRecord
 import popest.distributions as distributions
-from popest.distributions import CountFamily, EtaPoint, kind_needs_phi, sample, term_loglik
+from popest.distributions import (
+    CountFamily,
+    EtaPoint,
+    NumericalError,
+    ParameterError,
+    SupportError,
+    kind_needs_phi,
+    sample,
+    term_loglik,
+)
 from popest.meanmodel import (
     DesignError,
     DesignSpec,
+    ModelData,
     ModelSpec,
     ParamVector,
     build_design,
@@ -191,7 +203,7 @@ def test_chain_rule_doubling_N():
 )
 def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
     # A line-search probe needs the log-likelihood only: it must give the
-    # summed term_loglik exactly without evaluating psi or polygamma.
+    # summed term_loglik exactly without evaluating psi or trigamma (zeta).
     md, theta, has_phi = _random_instance(kind, np.random.default_rng(17))
     params = ParamVector(theta[:1], theta[1:2], phi=float(theta[2]) if has_phi else None)
     expect = float(np.sum(term_loglik(kind, md.mu_values(params), params.phi, md.m)))
@@ -200,8 +212,48 @@ def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
         raise AssertionError("log-likelihood evaluation reached the derivative kernel")
 
     monkeypatch.setattr(distributions, "psi", forbidden)
-    monkeypatch.setattr(distributions, "polygamma", forbidden)
+    monkeypatch.setattr(distributions, "zeta", forbidden)
     assert loglik_kind(md, kind, params) == expect
+
+
+@pytest.mark.parametrize("phi", [None, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("kind", ["nb2", "ztnb2", "zhang"])
+def test_full_data_functions_reject_bad_phi(kind, phi):
+    md = prepare(dataset(rec(m=3), rec("Georgia", m=7, n=30, N=300)), DesignSpec())
+    params = ParamVector(np.array([0.5]), np.array([0.4]), phi=phi)
+    with pytest.raises(ParameterError):
+        loglik_kind(md, kind, params)
+    with pytest.raises(ParameterError):
+        score_and_hessian_kind(md, kind, params)
+
+
+@pytest.mark.parametrize("kind, m", [("ztpo", 0), ("ztnb2", 0), ("zotnb2", 1)])
+def test_full_data_functions_reject_count_below_support(kind, m):
+    # Built directly: prepare() refuses m = 0 records before any kind is known.
+    md = ModelData(
+        m=np.array([3.0, m]), log_N=np.log([100.0, 300.0]),
+        log_ratio=np.log([0.1, 0.1]), X=np.ones((2, 1)), Z=np.ones((2, 1)),
+        index=["a", "b"],
+    )
+    params = ParamVector(np.array([0.5]), np.array([0.4]), phi=2.0)
+    with pytest.raises(SupportError):
+        loglik_kind(md, kind, params)
+    with pytest.raises(SupportError):
+        score_and_hessian_kind(md, kind, params)
+
+
+@pytest.mark.parametrize("kind", ["po", "ztpo", "zotpo", "nb2", "ztnb2", "zhang"])
+def test_overflowing_mu_names_the_record(kind):
+    # mu = N^60 overflows for N = 1e6 only; the line search must see a
+    # NumericalError that names that record, not a ParameterError.
+    records = [rec(m=3), rec("Georgia", m=7, n=30, N=10**6), rec("Belarus", m=4, n=9, N=90)]
+    md = prepare(dataset(*records), DesignSpec())
+    phi = 2.0 if kind_needs_phi(kind) else None
+    params = ParamVector(np.array([60.0]), np.array([0.0]), phi=phi)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match=re.escape(str(records[1].key))
+    ):
+        loglik_kind(md, kind, params)
 
 
 def test_nb2_large_phi_approaches_poisson():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from popest import mle
+from popest import distributions, mle
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily, SupportError
 from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, loglik_kind, prepare
@@ -176,6 +176,24 @@ def test_each_iterate_is_evaluated_once(token, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mle, "score_and_hessian_kind", counted)
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    fitted = fit(synth_dataset(11, 40), model)
+    assert fitted.convergence.converged
+    assert len(calls) == fitted.convergence.iterations
+
+
+@pytest.mark.parametrize("token", ["po", "ztpo", "nb2", "ztnb2"])
+def test_arguments_are_checked_once_per_evaluation(token, monkeypatch):
+    # The line-search probes run the unchecked kernel; only the score/Hessian
+    # evaluations go through the public term_derivatives and its checks.
+    calls = []
+    real = distributions._checked
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(distributions, "_checked", counted)
     model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
     fitted = fit(synth_dataset(11, 40), model)
     assert fitted.convergence.converged
