@@ -195,6 +195,8 @@ def cmd_boot(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.top_k < 0:
+        raise UsageError("--top-k must be nonnegative")
     data = _load_dataset(args)
     spec = _model_spec(args)
     fitted = mle.fit(data, spec)

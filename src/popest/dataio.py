@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 _INT64_MAX = 2**63 - 1
 
@@ -49,6 +52,10 @@ class StratumRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Records in a fixed order. The record-derived columns, keys and codes
+    below are built on first use and cached, so every fit on one Dataset
+    shares one build."""
+
     records: tuple[StratumRecord, ...]
     domain_names: tuple[str, ...] = ()
     provenance: str = ""
@@ -60,6 +67,40 @@ class Dataset:
             sum(r.n for r in self.records),
             sum(r.N for r in self.records),
         )
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only float arrays (m, n, N) in record order."""
+        cols = tuple(np.array([getattr(r, k) for r in self.records], dtype=float) for k in "mnN")
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
+    @cached_property
+    def keys(self) -> tuple[tuple, ...]:
+        return tuple(r.key for r in self.records)
+
+    @cached_property
+    def nonconforming(self) -> StratumRecord | None:
+        """The first record violating the model conditions, if any."""
+        return next((r for r in self.records if not r.conforms()), None)
+
+    @cached_property
+    def codes(self) -> dict:
+        """{variable: (read-only code per record, {level: code})} for
+        "country", each domain variable by name and the whole domain tuple
+        (None), with levels in first-appearance order."""
+        values = {"country": [r.country for r in self.records],
+                  None: [r.domain for r in self.records]}
+        for j, name in enumerate(self.domain_names):
+            values.setdefault(name, [r.domain[j] for r in self.records])
+        out = {}
+        for variable, column in values.items():
+            levels: dict = {}
+            codes = np.array([levels.setdefault(v, len(levels)) for v in column], dtype=np.intp)
+            codes.flags.writeable = False
+            out[variable] = (codes, levels)
+        return out
 
 
 @dataclass
@@ -114,27 +155,35 @@ def parse_csv(path: str, schema: dict) -> Dataset:
     domain_cols = list(schema.get("domain", []))
     needed = {k: schema[k] for k in ("period", "country", "m", "n", "N")}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: last column
         for logical, col in list(needed.items()) + [("domain", c) for c in domain_cols]:
-            if col not in header:
+            if col not in position:
                 raise SchemaError(f"missing column {col!r} (mapped to {logical})")
+        i_period, i_country, i_m, i_n, i_N = (position[needed[k]] for k in needed)
+        i_domain = [position[c] for c in domain_cols]
         records: list[StratumRecord] = []
         seen: set[tuple] = set()
-        for row_number, row in enumerate(reader, start=2):
-            rec = StratumRecord(
-                period=row[needed["period"]].strip(),
-                country=row[needed["country"]].strip(),
-                domain=tuple(row[c].strip() for c in domain_cols),
-                m=_parse_count(row[needed["m"]], needed["m"], row_number),
-                n=_parse_count(row[needed["n"]], needed["n"], row_number),
-                N=_parse_count(row[needed["N"]], needed["N"], row_number),
-            )
-            if rec.key in seen:
-                raise DuplicateKeyError(
-                    f"row {row_number}: duplicate key {rec.key}"
+        # Blank lines are skipped and not numbered.
+        for row_number, row in enumerate(filter(None, reader), start=2):
+            try:
+                rec = StratumRecord(
+                    period=row[i_period].strip(),
+                    country=row[i_country].strip(),
+                    domain=tuple([row[i].strip() for i in i_domain]),
+                    m=_parse_count(row[i_m], needed["m"], row_number),
+                    n=_parse_count(row[i_n], needed["n"], row_number),
+                    N=_parse_count(row[i_N], needed["N"], row_number),
                 )
-            seen.add(rec.key)
+            except IndexError:
+                raise ParseError(
+                    f"row {row_number}: has {len(row)} fields, the header has {len(header)}"
+                ) from None
+            key = rec.key
+            if key in seen:
+                raise DuplicateKeyError(f"row {row_number}: duplicate key {key}")
+            seen.add(key)
             records.append(rec)
     return Dataset(
         records=tuple(records),

@@ -83,18 +83,16 @@ def _linearized_stats(m, n, N) -> tuple[float, float, float, float]:
 def linearized_check(data: Dataset) -> LinearizedCheck:
     """Correlations of log(m/N) with log N and log(n/N), and the no-intercept
     OLS coefficients (alpha-1, beta); per domain group as well."""
-    m = np.array([r.m for r in data.records], dtype=float)
-    n = np.array([r.n for r in data.records], dtype=float)
-    N = np.array([r.N for r in data.records], dtype=float)
+    m, n, N = data.columns
     c1, c2, b1, b2 = _linearized_stats(m, n, N)
     flag = c1 >= 0 or c2 <= 0
     notes: list[str] = []
     if _is_constant(np.log(m) - np.log(N)):
         notes.append("log(m/N) is constant; correlations reported as 0")
     by_group: dict[str, dict] = {}
-    groups = sorted({r.domain for r in data.records})
-    for dom in groups:
-        sel = np.array([r.domain == dom for r in data.records])
+    codes, levels = data.codes[None]
+    for dom in sorted(levels):
+        sel = codes == levels[dom]
         label = "/".join(dom) if dom else "all"
         if int(sel.sum()) < 3:
             notes.append(f"group {label}: fewer than 3 records, skipped")
@@ -133,18 +131,20 @@ class DiagnosticsReport:
 
 def diagnostics_report(data: Dataset, fit: FittedModel, k: int = 5) -> DiagnosticsReport:
     """Residuals, top-k worst fits by |m - mu_hat|, and the linearized check."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     md = fit.data
     mu_hat = md.mu_values(fit.params)
-    residuals = []
-    for rec, mh in zip(fit.records, mu_hat):
-        residuals.append(
-            {
-                "key": list(rec.key[:2]) + [list(rec.key[2])],
-                "m": rec.m,
-                "mu_hat": float(mh),
-                "residual": anscombe_residual(rec.m, float(mh), fit.params.phi),
-            }
-        )
+    phi = fit.params.phi
+    residuals = [
+        {
+            "key": [rec.period, rec.country, list(rec.domain)],
+            "m": rec.m,
+            "mu_hat": mh,
+            "residual": anscombe_residual(rec.m, mh, phi),
+        }
+        for rec, mh in zip(fit.records, mu_hat.tolist())
+    ]
     order = np.argsort(-np.abs(md.m - mu_hat), kind="stable")
     worst = [residuals[i] | {"delta": float(md.m[i] - mu_hat[i])} for i in order[:k]]
     return DiagnosticsReport(

@@ -11,12 +11,16 @@ Each kind's per-record log-likelihood term has one implementation,
 line search (``meanmodel.loglik_kind``) checks phi and the counts once per
 call and runs the unchecked kernel, whose non-finite terms it rejects.
 ``term_derivatives`` returns only the (mu, phi) derivatives of that term.
+Given the distinct counts of m (``DistinctCounts``), the kernel and
+``term_derivatives`` evaluate each special function of m + c once per
+distinct count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, psi, zeta
@@ -120,19 +124,44 @@ def _log1mexp(a):
     return out
 
 
+class DistinctCounts(NamedTuple):
+    """The distinct values of a count array m and their inverse indices, so
+    that ``values[inverse] == m`` exactly."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+
+    @staticmethod
+    def of(m) -> "DistinctCounts":
+        return DistinctCounts(*np.unique(m, return_inverse=True))
+
+
+def _of_counts(f, m, c, counts: DistinctCounts | None):
+    """f(m + c) for an element-wise special function f, evaluated once per
+    distinct count when ``counts`` (the distinct counts of m) is given. Both
+    ways give the same bits."""
+    if counts is None:
+        return f(m + c)
+    return f(counts.values + c)[counts.inverse]
+
+
+def _trigamma(x):
+    return zeta(2.0, x)  # bit-identical to polygamma(1, x)
+
+
 # ---------------------------------------------------------------------------
 # Log-likelihood term
 # ---------------------------------------------------------------------------
 
-def _poisson_logpmf(mu, m):
-    return m * np.log(mu) - mu - gammaln(m + 1.0)
+def _poisson_logpmf(mu, m, counts):
+    return m * np.log(mu) - mu - _of_counts(gammaln, m, 1.0, counts)
 
 
-def _nb2_logpmf(mu, phi, m):
+def _nb2_logpmf(mu, phi, m, counts):
     return (
-        gammaln(m + phi)
+        _of_counts(gammaln, m, phi, counts)
         - gammaln(phi)
-        - gammaln(m + 1.0)
+        - _of_counts(gammaln, m, 1.0, counts)
         - (m + phi) * np.log1p(mu / phi)
         + m * (np.log(mu) - np.log(phi))
     )
@@ -151,18 +180,21 @@ def _log_f1(family: Family, mu, phi):
 
 
 def _trunc_normalizer(fam: CountFamily, mu, phi):
-    """(d, log d) with d = 1 - f(0) [- f(1)], the mass of the truncated support.
-
-    Only for truncated families.
-    """
+    """(d, log f(0)) with d = 1 - f(0) [- f(1)], the mass of the truncated
+    support. Only for truncated families; d is not checked."""
     lf0 = _log_f0(fam.family, mu, phi)
     d = -np.expm1(lf0)
     if fam.truncation is Truncation.ZERO_ONE:
         d = d - np.exp(_log_f1(fam.family, mu, phi))
+    return d, lf0
+
+
+def _checked_normalizer(fam: CountFamily, mu, phi) -> np.ndarray:
+    """d of ``_trunc_normalizer``, which must be positive."""
+    d = _trunc_normalizer(fam, mu, phi)[0]
     if np.any(d <= 0):
         raise NumericalError("truncated support carries no mass")
-    log_d = _log1mexp(lf0) if fam.truncation is Truncation.ZERO else np.log(d)
-    return d, log_d
+    return d
 
 
 def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
@@ -203,15 +235,19 @@ def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
     Stirling remainder integral, for the bias simulation only.
     """
     fam, mu, m = _checked(kind, mu, phi, m)
+    if fam.truncation is not Truncation.NONE:
+        _checked_normalizer(fam, mu, phi)
     return term_loglik_kernel(fam, kind, mu, phi, m)
 
 
-def term_loglik_kernel(fam: CountFamily, kind: str, mu, phi, m) -> np.ndarray:
+def term_loglik_kernel(
+    fam: CountFamily, kind: str, mu, phi, m, counts: DistinctCounts | None = None
+) -> np.ndarray:
     """``term_loglik`` without its checks; the one implementation for every
     kind. ``fam`` is the family of ``kind`` (as ``check_kind_args`` returns
-    it) and mu, m are float arrays. A mu that is 0 or not finite gives a
-    non-finite term (or ``NumericalError`` from the truncation normalizer)
-    instead of ``ParameterError``."""
+    it), mu and m are float arrays, and ``counts``, if given, holds the
+    distinct counts of m. A mu that is 0 or not finite, or a truncated
+    support without mass, gives a non-finite term instead of an error."""
     if kind == "zhang":
         a = mu + phi
         b = m + phi
@@ -220,17 +256,18 @@ def term_loglik_kernel(fam: CountFamily, kind: str, mu, phi, m) -> np.ndarray:
         return (
             m * np.log(mu)
             + phi * np.log(phi)
-            - gammaln(m + 1.0)
+            - _of_counts(gammaln, m, 1.0, counts)
             - gammaln(phi)
             - (m + phi) * np.log(mu + phi)
-            + gammaln(m + phi)
+            + _of_counts(gammaln, m, phi, counts)
         )
     if fam.family is Family.POISSON:
-        ll = _poisson_logpmf(mu, m)
+        ll = _poisson_logpmf(mu, m, counts)
     else:
-        ll = _nb2_logpmf(mu, phi, m)
+        ll = _nb2_logpmf(mu, phi, m, counts)
     if fam.truncation is not Truncation.NONE:
-        ll = ll - _trunc_normalizer(fam, mu, phi)[1]
+        d, lf0 = _trunc_normalizer(fam, mu, phi)
+        ll = ll - (_log1mexp(lf0) if fam.truncation is Truncation.ZERO else np.log(d))
     return ll
 
 
@@ -341,19 +378,19 @@ class TermDerivs:
     d_muphi: np.ndarray | None = None
 
 
-def _poisson_derivs(mu, phi, m):
+def _poisson_derivs(mu, phi, m, counts):
     return m / mu - 1.0, -m / mu**2, None, None, None
 
 
-def _nb2_derivs(mu, phi, m):
+def _nb2_derivs(mu, phi, m, counts):
     a = mu + phi
     d_mu = m / mu - (m + phi) / a
     d_mumu = -m / mu**2 + (m + phi) / a**2
-    d_phi = psi(m + phi) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
-    # d/dphi of d_phi; zeta(2, x) is the trigamma function polygamma(1, x)
+    d_phi = _of_counts(psi, m, phi, counts) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
+    # d/dphi of d_phi
     d_phiphi = (
-        zeta(2.0, m + phi)
-        - zeta(2.0, phi)
+        _of_counts(_trigamma, m, phi, counts)
+        - _trigamma(phi)
         - 1.0 / a
         + (m - mu) / a**2
         + 1.0 / phi
@@ -362,7 +399,7 @@ def _nb2_derivs(mu, phi, m):
     return d_mu, d_mumu, d_phi, d_phiphi, d_muphi
 
 
-def _zhang_derivs(mu, phi, m):
+def _zhang_derivs(mu, phi, m, counts):
     a = mu + phi
     b = m + phi
     d_mu = m / mu - b / a
@@ -425,9 +462,12 @@ def _trunc_mass(fam: CountFamily, mu, phi):
     return [sum(p[k] for p in parts) for k in range(5)]
 
 
-def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
+def term_derivatives(
+    kind: str, mu, phi, m, counts: DistinctCounts | None = None
+) -> TermDerivs:
     """The (mu, phi) derivatives of ``term_loglik``, for the same kinds and
     with the same argument checks; the term itself is not evaluated.
+    ``counts``, if given, holds the distinct counts of m.
 
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
@@ -436,9 +476,9 @@ def term_derivatives(kind: str, mu, phi, m) -> TermDerivs:
         base = _zhang_derivs
     else:
         base = _poisson_derivs if fam.family is Family.POISSON else _nb2_derivs
-    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = base(mu, phi, m)
+    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = base(mu, phi, m, counts)
     if fam.truncation is not Truncation.NONE:
-        d = _trunc_normalizer(fam, mu, phi)[0]
+        d = _checked_normalizer(fam, mu, phi)
         s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(fam, mu, phi)
         d_mu = d_mu + s_mu / d
         d_mumu = d_mumu + s_mumu / d + (s_mu / d) ** 2

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, StratumRecord
+from .dataio import Dataset
 from .distributions import (
     CountFamily,
+    DistinctCounts,
     NumericalError,
     check_kind_args,
     term_derivatives,
@@ -59,17 +60,6 @@ class Term:
         if var == "country":
             return Term("country", level=level)
         return Term("domain", variable=var, level=level)
-
-    def value(self, record: StratumRecord, domain_names: tuple[str, ...]) -> float:
-        if self.kind == "intercept":
-            return 1.0
-        if self.kind == "country":
-            return 1.0 if record.country == self.level else 0.0
-        try:
-            idx = domain_names.index(self.variable)
-        except ValueError:
-            raise DesignError(f"unknown domain variable {self.variable!r}") from None
-        return 1.0 if record.domain[idx] == self.level else 0.0
 
 
 def _with_intercept(terms: tuple[Term, ...]) -> tuple[Term, ...]:
@@ -139,24 +129,27 @@ def build_design(
     n = len(data.records)
     X = np.empty((n, len(design.alpha_covariates)))
     Z = np.empty((n, len(design.beta_covariates)))
-    for i, rec in enumerate(data.records):
-        for j, t in enumerate(design.alpha_covariates):
-            X[i, j] = t.value(rec, data.domain_names)
-        for j, t in enumerate(design.beta_covariates):
-            Z[i, j] = t.value(rec, data.domain_names)
     for mat, terms in ((X, design.alpha_covariates), (Z, design.beta_covariates)):
         for j, t in enumerate(terms):
-            if t.kind != "intercept" and not mat[:, j].any():
-                warnings.warn(
-                    f"covariate term {t.label()} matches no record", stacklevel=2
-                )
-    index = [rec.key for rec in data.records]
-    return X, Z, index
+            if t.kind == "intercept":
+                mat[:, j] = 1.0
+                continue
+            if t.kind == "domain" and t.variable not in data.domain_names:
+                raise DesignError(f"unknown domain variable {t.variable!r}")
+            codes, levels = data.codes["country" if t.kind == "country" else t.variable]
+            if t.level not in levels:
+                warnings.warn(f"covariate term {t.label()} matches no record", stacklevel=2)
+            mat[:, j] = codes == levels.get(t.level, -1)
+    return X, Z, list(data.keys)
 
 
 @dataclass
 class ModelData:
-    """Arrays the likelihood evaluates over, in fixed record order."""
+    """Arrays the likelihood evaluates over, in fixed record order.
+
+    ``m`` may be replaced by a new array (the distinct counts follow it), but
+    not changed in place: ``distinct`` would then be stale.
+    """
 
     m: np.ndarray
     log_N: np.ndarray
@@ -165,6 +158,7 @@ class ModelData:
     Z: np.ndarray
     index: list[tuple]
     _W: np.ndarray = field(init=False, repr=False)
+    _distinct: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._W = np.hstack(
@@ -180,21 +174,28 @@ class ModelData:
         """Stacked covariates so that log mu = W @ (alpha, beta); built once."""
         return self._W
 
+    @property
+    def distinct(self) -> DistinctCounts:
+        """Distinct counts of the current ``m``; built once per array."""
+        of, counts = self._distinct
+        if of is not self.m:
+            counts = DistinctCounts.of(self.m)
+            self._distinct = (self.m, counts)
+        return counts
+
     def mu_values(self, params: ParamVector) -> np.ndarray:
         return np.exp(self.W @ np.concatenate([params.alpha, params.beta]))
 
 
 def prepare(data: Dataset, design: DesignSpec) -> ModelData:
-    for rec in data.records:
-        if not rec.conforms():
-            raise ValueError(
-                f"record {rec.key} violates the model conditions; "
-                f"run apply_model_conditions first"
-            )
+    rec = data.nonconforming
+    if rec is not None:
+        raise ValueError(
+            f"record {rec.key} violates the model conditions; "
+            f"run apply_model_conditions first"
+        )
     X, Z, index = build_design(data, design)
-    m = np.array([r.m for r in data.records], dtype=float)
-    N = np.array([r.N for r in data.records], dtype=float)
-    n = np.array([r.n for r in data.records], dtype=float)
+    m, n, N = data.columns
     return ModelData(
         m=m, log_N=np.log(N), log_ratio=np.log(n) - np.log(N), X=X, Z=Z, index=index
     )
@@ -209,7 +210,9 @@ def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
     is empty).
     """
     fam = check_kind_args(kind, params.phi, md.m)
-    ll = term_loglik_kernel(fam, kind, md.mu_values(params), params.phi, md.m)
+    ll = term_loglik_kernel(
+        fam, kind, md.mu_values(params), params.phi, md.m, counts=md.distinct
+    )
     if not np.all(np.isfinite(ll)):
         i = int(np.argmax(~np.isfinite(ll)))
         bad = md.index[i] if i < len(md.index) else i
@@ -222,7 +225,7 @@ def score_and_hessian_kind(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and Hessian on the natural (alpha, beta, phi) scale."""
     mu_vals = md.mu_values(params)
-    t = term_derivatives(kind, mu_vals, params.phi, md.m)
+    t = term_derivatives(kind, mu_vals, params.phi, md.m, counts=md.distinct)
     W = md.W
     has_phi = params.phi is not None
     p = W.shape[1]

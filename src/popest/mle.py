@@ -84,9 +84,8 @@ def linearized_init(data: Dataset) -> tuple[float, float, float]:
     ``linearized_start``."""
     if len(data.records) < 3:
         raise InitError(f"need at least 3 records, got {len(data.records)}")
-    m = np.array([r.m for r in data.records], dtype=float)
-    n = np.array([r.n for r in data.records], dtype=float)
-    log_N = np.log(np.array([r.N for r in data.records], dtype=float))
+    m, n, N = data.columns
+    log_N = np.log(N)
     return linearized_start(m, log_N, np.log(n) - log_N)
 
 
@@ -332,7 +331,7 @@ def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> F
     k = n_alpha + n_beta + (1 if params.phi is not None else 0)
     aic, bic = information_criteria(ll, k, md.n_obs)
     xi_hat = xi_from_alpha(md, params.alpha)
-    fitted = FittedModel(
+    return FittedModel(
         model=model,
         params=params,
         covariance=covariance,
@@ -341,37 +340,38 @@ def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> F
         bic=bic,
         ssq=ssq,
         xi_hat=xi_hat,
-        xi_by_group={},
+        xi_by_group=_xi_groups(md, params.alpha, data, "country"),
         convergence=conv,
         records=tuple(data.records),
         data=md,
         domain_names=data.domain_names,
     )
-    fitted.xi_by_group = xi_decompose(fitted, "country")
-    return fitted
 
 
 def xi_decompose(fit: FittedModel, by: str) -> dict[str, float]:
     """Partial sums of N_i^(x_i'alpha) over a grouping; sums to xi_hat.
 
     ``by`` is "country", "country:<label>" (that country vs the rest), or a
-    domain-variable name.
+    domain-variable name. Groups appear in the order of their first record.
     """
-    md = fit.data
-    contributions = np.exp((md.X @ fit.params.alpha) * md.log_N)
-    records = fit.records
-    if by == "country":
-        keyer = lambda r: r.country
-    elif by.startswith("country:"):
+    data = Dataset(records=tuple(fit.records), domain_names=fit.domain_names)
+    return _xi_groups(fit.data, fit.params.alpha, data, by)
+
+
+def _xi_groups(md: ModelData, alpha, data: Dataset, by: str) -> dict[str, float]:
+    contributions = np.exp((md.X @ alpha) * md.log_N)
+    if by.startswith("country:"):
         label = by.split(":", 1)[1]
-        keyer = lambda r: label if r.country == label else f"not {label}"
-    elif by in fit.domain_names:
-        idx = fit.domain_names.index(by)
-        keyer = lambda r: r.domain[idx]
+        country, levels = data.codes["country"]
+        in_label = country == levels.get(label, -1)
+        first = bool(in_label[:1].any())
+        codes = in_label != first  # False for the group of the first record
+        labels = [label, f"not {label}"] if first else [f"not {label}", label]
+    elif by == "country" or by in data.domain_names:
+        codes, levels = data.codes[by]
+        labels = list(levels)
     else:
         raise ValueError(f"unknown grouping variable {by!r}")
-    out: dict[str, float] = {}
-    for rec, c in zip(records, contributions):
-        key = keyer(rec)
-        out[key] = out.get(key, 0.0) + float(c)
-    return out
+    # bincount adds in record order, as a running sum over the records would
+    sums = np.bincount(codes, weights=contributions)
+    return {label: float(v) for label, v in zip(labels, sums)}

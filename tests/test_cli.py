@@ -94,6 +94,24 @@ def test_missing_column_is_exit_two(data_csv):
     assert code == 2
 
 
+def test_short_row_is_exit_two(data_csv, capsys):
+    with open(data_csv, "a", encoding="utf-8") as fh:
+        fh.write("Q9,Ukraine,F,0-30,5\n")
+    code = main(["fit", "--data", data_csv, "--schema", SCHEMA, "--dist", "po"])
+    assert code == 2
+    assert "row 42: has 5 fields" in capsys.readouterr().err
+
+
+def test_negative_top_k_is_exit_two(data_csv, capsys):
+    code = main(
+        ["diagnose", "--data", data_csv, "--schema", SCHEMA, "--dist", "po", "--top-k", "-2"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--top-k must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_count_below_support_is_exit_two(tmp_path, capsys):
     records = synth_records(5, 30, token="zotnb2")  # every m >= 2
     records[7] = dataclasses.replace(records[7], m=1)

@@ -93,6 +93,63 @@ def test_parse_count_beyond_64_bits(tmp_path):
         parse_csv(p, SCHEMA)
 
 
+def test_parse_short_row_names_it(tmp_path):
+    # The blank line is skipped and not numbered, as before.
+    p = write(
+        tmp_path / "g.csv",
+        "period,country,sex,age,m,n,N\n"
+        "Q1,Ukraine,F,0-30,5,20,100\n"
+        "\n"
+        "Q1,Georgia,F,0-30,2,10\n",
+    )
+    with pytest.raises(ParseError, match="row 3: has 6 fields, the header has 7"):
+        parse_csv(p, SCHEMA)
+
+
+def test_parse_row_rules(tmp_path):
+    # A repeated header name reads the last column, surplus fields are
+    # ignored, and blank lines are skipped without being numbered.
+    header = "period,country,sex,age,m,n,N,m\n"
+    good = "\nQ1,Ukraine,F,0-30,99,20,100,5,surplus\n"
+    data = parse_csv(write(tmp_path / "h.csv", header + good), SCHEMA)
+    assert [(r.key, r.m) for r in data.records] == [(("Q1", "Ukraine", ("F", "0-30")), 5)]
+    bad = good + "\nQ1,Ukraine,M,0-30,99,30,200,x\n"
+    with pytest.raises(ParseError, match="row 3: column 'm' value 'x'"):
+        parse_csv(write(tmp_path / "i.csv", header + bad), SCHEMA)
+
+
+def test_dataset_columns_keys_and_codes_follow_the_records():
+    records = (
+        rec("B", 2, 3, 50, domain=("M",)),
+        rec("A", 1, 5, 100),
+        rec("B", 4, 6, 70),
+    )
+    data = Dataset(records=records, domain_names=("sex",))
+    m, n, N = data.columns
+    assert m.tolist() == [2.0, 1.0, 4.0] and n.tolist() == [3.0, 5.0, 6.0]
+    assert N.tolist() == [50.0, 100.0, 70.0]
+    assert not m.flags.writeable
+    assert data.keys == tuple(r.key for r in records)
+    for variable, values in (
+        ("country", [r.country for r in records]),
+        ("sex", [r.domain[0] for r in records]),
+        (None, [r.domain for r in records]),
+    ):
+        codes, levels = data.codes[variable]
+        assert list(levels) == list(dict.fromkeys(values))  # first-appearance order
+        assert [list(levels)[c] for c in codes] == values
+    assert data.codes is data.codes  # built once
+    assert data.nonconforming is None
+    bad = Dataset(records=records + (rec("C", 0, 5, 100),), domain_names=("sex",))
+    assert bad.nonconforming == bad.records[-1]
+
+
+def test_nonconforming_is_exact_above_two_to_the_53():
+    # As floats, n = 2**53 + 1 and N = 2**53 + 2 are equal; as integers n < N.
+    big = rec("A", 1, 2**53 + 1, 2**53 + 2)
+    assert Dataset(records=(big,)).nonconforming is None
+
+
 def rec(country, m, n, N, period="Q1", domain=("F",)):
     return StratumRecord(period=period, country=country, domain=tuple(domain), m=m, n=n, N=N)
 

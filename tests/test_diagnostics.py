@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from popest.dataio import Dataset, StratumRecord
-from popest.diagnostics import anscombe_residual, diagnostics_report, linearized_check
+from popest.diagnostics import (
+    _linearized_stats,
+    anscombe_residual,
+    diagnostics_report,
+    linearized_check,
+)
 from popest.distributions import CountFamily
 from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, prepare
 from popest.mle import Convergence, FittedModel, linearized_init, xi_from_alpha
 from popest.simulation import _init_from_arrays
+
+from conftest import synth_dataset
 
 
 def test_anscombe_zero_at_perfect_fit():
@@ -103,6 +110,20 @@ def test_linearized_check_matches_init_coefficients():
     assert (1.0 + check.coef_logN, check.coef_logratio) == start[:2]
 
 
+def test_linearized_check_groups_equal_a_per_record_loop():
+    data = synth_dataset(4, 50)
+    check = linearized_check(data)
+    expect = {}
+    for dom in sorted({r.domain for r in data.records}):
+        group = [r for r in data.records if r.domain == dom]
+        cols = [np.array([getattr(r, k) for r in group], dtype=float) for k in "mnN"]
+        g1, g2, b1, b2 = _linearized_stats(*cols)
+        expect["/".join(dom)] = {
+            "corr_logN": g1, "corr_logratio": g2, "coef_logN": b1, "coef_logratio": b2
+        }
+    assert list(check.by_group.items()) == list(expect.items())
+
+
 def test_linearized_check_constant_ratio_flags():
     records = tuple(
         StratumRecord(
@@ -181,6 +202,14 @@ def test_report_worst_fit_dominated_by_outlier():
     assert top["mu_hat"] == pytest.approx(np.sqrt(7635), rel=1e-12)
     assert top["delta"] == pytest.approx(414 - np.sqrt(7635), rel=1e-10)
     assert top["residual"] > 0
+
+
+def test_report_rejects_negative_k():
+    records = [srec("A", 4, 16), srec("B", 10, 100), srec("C", 30, 625)]
+    data, fitted = manual_fit(records)
+    assert diagnostics_report(data, fitted, k=0).worst_fit == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        diagnostics_report(data, fitted, k=-2)
 
 
 def test_report_serializes(tmp_path):

@@ -7,17 +7,23 @@ from scipy.special import gammaln, polygamma, zeta
 
 from popest.distributions import (
     CountFamily,
+    DistinctCounts,
     EtaPoint,
     Family,
+    NumericalError,
     ParameterError,
     SupportError,
     Truncation,
+    check_kind_args,
+    kind_needs_phi,
+    kind_support_min,
     log_pmf,
     mixture_pmf_oracle,
     sample,
     sample_many,
     term_derivatives,
     term_loglik,
+    term_loglik_kernel,
 )
 
 ALL_TOKENS = ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2")
@@ -257,6 +263,7 @@ def test_term_derivatives_do_not_evaluate_the_term(kind, monkeypatch):
         ("zotnb2", 1.0, -2.0, 2, ParameterError),
         ("ztpo", 1.0, None, 0, SupportError),
         ("zotnb2", 1.0, 1.0, 1, SupportError),
+        ("zotpo", 1e-120, None, 2, NumericalError),  # no mass left after cancellation
     ],
 )
 def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):
@@ -264,6 +271,32 @@ def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):
         term_loglik(kind, mu, phi, m)
     with pytest.raises(error):
         term_derivatives(kind, mu, phi, m)
+
+
+@pytest.mark.parametrize("kind", list(ALL_TOKENS) + ["zhang", "nb2-mixture"])
+def test_distinct_counts_give_the_same_bits(kind):
+    # Special functions of m + c evaluated once per distinct count, then
+    # gathered, must equal the per-record evaluation exactly.
+    rng = np.random.default_rng(23)
+    size = 500
+    mu = np.exp(rng.uniform(np.log(0.05), np.log(5e4), size))
+    phi = 1.7 if kind_needs_phi(kind) else None
+    small = rng.integers(0, 30, size)
+    large = rng.choice([1234, 98765, 10**7], size)
+    m = (kind_support_min(kind) + np.where(rng.random(size) < 0.9, small, large)).astype(float)
+    counts = DistinctCounts.of(m)
+    assert len(counts.values) < 40
+    assert np.array_equal(counts.values[counts.inverse], m)
+    fam = check_kind_args(kind, phi, m)
+    assert np.array_equal(
+        term_loglik_kernel(fam, kind, mu, phi, m, counts=counts),
+        term_loglik_kernel(fam, kind, mu, phi, m),
+    )
+    with_counts = term_derivatives(kind, mu, phi, m, counts=counts)
+    without = term_derivatives(kind, mu, phi, m)
+    for name in ("d_mu", "d_mumu", "d_phi", "d_phiphi", "d_muphi"):
+        a, b = getattr(with_counts, name), getattr(without, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

@@ -29,7 +29,7 @@ from popest.meanmodel import (
     score_and_hessian_kind,
 )
 
-from conftest import fd_gradient, fd_jacobian
+from conftest import COUNTRIES, fd_gradient, fd_jacobian, synth_dataset
 
 
 def rec(country="Ukraine", m=1, n=10, N=100, domain=("F",)):
@@ -69,6 +69,50 @@ def test_unmatched_term_warns():
     design = DesignSpec.from_tokens(["intercept", "country:Atlantis"], ["intercept"])
     with pytest.warns(UserWarning, match="Atlantis"):
         build_design(dataset(rec()), design)
+
+
+def _design_by_record(data, terms):
+    def value(t, r):
+        if t.kind == "intercept":
+            return 1.0
+        if t.kind == "country":
+            return 1.0 if r.country == t.level else 0.0
+        return 1.0 if r.domain[data.domain_names.index(t.variable)] == t.level else 0.0
+
+    return np.array([[value(t, r) for t in terms] for r in data.records])
+
+
+def test_build_design_equals_a_per_record_loop():
+    data = synth_dataset(7, 90)
+    design = DesignSpec.from_tokens(
+        ["intercept", f"country:{COUNTRIES[2]}", "sex:M", "age:31-60", "country:Atlantis"],
+        ["intercept", "age:61+", "sex:X"],
+    )
+    with pytest.warns(UserWarning) as caught:
+        X, Z, index = build_design(data, design)
+    assert [str(w.message) for w in caught] == [
+        "covariate term country:Atlantis matches no record",
+        "covariate term sex:X matches no record",
+    ]
+    assert np.array_equal(X, _design_by_record(data, design.alpha_covariates))
+    assert np.array_equal(Z, _design_by_record(data, design.beta_covariates))
+    assert index == [r.key for r in data.records]
+    with pytest.raises(DesignError, match="unknown domain variable 'height'"):
+        build_design(data, DesignSpec.from_tokens(["intercept", "height:tall"]))
+
+
+def test_distinct_counts_follow_a_reassigned_m():
+    records = [rec(m=3), rec("Georgia", m=7, n=30, N=300), rec("Belarus", m=3, n=9, N=90)]
+    md = prepare(dataset(*records), DesignSpec())
+    first = md.distinct
+    assert first.values.tolist() == [3.0, 7.0]
+    assert md.distinct is first
+    md.m = np.array([5.0, 5.0, 2.0])
+    assert md.distinct.values.tolist() == [2.0, 5.0]
+    assert np.array_equal(md.distinct.values[md.distinct.inverse], md.m)
+    params = ParamVector(np.array([0.5]), np.array([0.4]), phi=1.5)
+    expect = float(np.sum(term_loglik("ztnb2", md.mu_values(params), 1.5, md.m)))
+    assert loglik_kind(md, "ztnb2", params) == expect
 
 
 def mu_values(records, params, alpha=("intercept",)):
@@ -242,15 +286,21 @@ def test_full_data_functions_reject_count_below_support(kind, m):
         score_and_hessian_kind(md, kind, params)
 
 
-@pytest.mark.parametrize("kind", ["po", "ztpo", "zotpo", "nb2", "ztnb2", "zhang"])
-def test_overflowing_mu_names_the_record(kind):
-    # mu = N^60 overflows for N = 1e6 only; the line search must see a
-    # NumericalError that names that record, not a ParameterError.
+@pytest.mark.parametrize(
+    "kind, alpha",
+    [pytest.param(k, 60.0, id=k) for k in ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zhang")]
+    + [pytest.param(k, -60.0, id=f"{k}-underflow") for k in ("po", "ztpo", "nb2", "ztnb2", "zhang")],
+)
+def test_overflowing_mu_names_the_record(kind, alpha):
+    # mu = N^60 overflows, and N^-60 underflows to 0, for N = 1e6 only; the
+    # line search must see a NumericalError that names that record, not a
+    # ParameterError or the truncation normalizer's unnamed error. (zotpo
+    # loses all mass by cancellation at the other records' mu ~ 1e-120.)
     records = [rec(m=3), rec("Georgia", m=7, n=30, N=10**6), rec("Belarus", m=4, n=9, N=90)]
     md = prepare(dataset(*records), DesignSpec())
     phi = 2.0 if kind_needs_phi(kind) else None
-    params = ParamVector(np.array([60.0]), np.array([0.0]), phi=phi)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+    params = ParamVector(np.array([alpha]), np.array([0.0]), phi=phi)
+    with np.errstate(all="ignore"), pytest.raises(
         NumericalError, match=re.escape(str(records[1].key))
     ):
         loglik_kind(md, kind, params)

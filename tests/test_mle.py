@@ -276,6 +276,24 @@ def test_xi_decompose_partition_sums(ztnb2_dataset, ztnb2_model):
         xi_decompose(fitted, "height")
 
 
+def test_xi_decompose_equals_a_per_record_loop(ztnb2_dataset, ztnb2_model):
+    fitted = fit(ztnb2_dataset, ztnb2_model)
+    contributions = np.exp((fitted.data.X @ fitted.params.alpha) * fitted.data.log_N)
+    keyers = {
+        "country": lambda r: r.country,
+        "country:Georgia": lambda r: "Georgia" if r.country == "Georgia" else "not Georgia",
+        "country:Atlantis": lambda r: "not Atlantis",
+        "age": lambda r: r.domain[1],
+    }
+    for by, keyer in keyers.items():
+        expect: dict = {}
+        for rec, c in zip(ztnb2_dataset.records, contributions):
+            expect[keyer(rec)] = expect.get(keyer(rec), 0.0) + float(c)
+        got = xi_decompose(fitted, by)
+        assert list(got.items()) == list(expect.items())  # same order, same bits
+    assert fitted.xi_by_group == xi_decompose(fitted, "country")
+
+
 def test_fit_serialization_round_trip(ztnb2_dataset, ztnb2_model):
     import json
 
