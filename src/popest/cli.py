@@ -200,7 +200,7 @@ def cmd_diagnose(args) -> int:
     data = _load_dataset(args)
     spec = _model_spec(args)
     fitted = mle.fit(data, spec)
-    report = diagnostics.diagnostics_report(data, fitted, k=args.top_k)
+    report = diagnostics.diagnostics_report(fitted, k=args.top_k)
     _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

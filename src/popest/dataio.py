@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
+PSEUDO_COUNTRY = "other"  # country label of the records that pool nonconforming strata
 
 
 class SchemaError(ValueError):
@@ -59,7 +60,6 @@ class Dataset:
     records: tuple[StratumRecord, ...]
     domain_names: tuple[str, ...] = ()
     provenance: str = ""
-    pseudo_country_label: str = "other"
 
     def totals(self) -> tuple[int, int, int]:
         return (
@@ -200,7 +200,6 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
     conditions are dropped and listed in the audit report.
     """
     audit = AuditReport()
-    label = data.pseudo_country_label
     kept: list[StratumRecord] = []
     pools: dict[tuple, list[int]] = {}
     for rec in data.records:
@@ -218,7 +217,7 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
     merged_into_existing: set[tuple] = set()
     for rec in kept:
         key = (rec.period, rec.domain)
-        if rec.country == label and key in pools:
+        if rec.country == PSEUDO_COUNTRY and key in pools:
             pool = pools[key]
             rec = replace(rec, m=rec.m + pool[0], n=rec.n + pool[1], N=rec.N + pool[2])
             merged_into_existing.add(key)
@@ -231,22 +230,14 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
             continue
         period, domain = key
         pseudo = StratumRecord(
-            period=period, country=label, domain=domain, m=pool[0], n=pool[1], N=pool[2]
+            period=period, country=PSEUDO_COUNTRY, domain=domain, m=pool[0], n=pool[1], N=pool[2]
         )
         if pseudo.conforms():
             out.append(pseudo)
         else:
             audit.dropped.append(_record_dict(pseudo))
 
-    return (
-        Dataset(
-            records=tuple(out),
-            domain_names=data.domain_names,
-            provenance=data.provenance,
-            pseudo_country_label=label,
-        ),
-        audit,
-    )
+    return replace(data, records=tuple(out)), audit
 
 
 def pad_empty_domain(data: Dataset, key: tuple) -> Dataset:

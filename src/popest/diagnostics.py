@@ -129,7 +129,7 @@ class DiagnosticsReport:
         }
 
 
-def diagnostics_report(data: Dataset, fit: FittedModel, k: int = 5) -> DiagnosticsReport:
+def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:
     """Residuals, top-k worst fits by |m - mu_hat|, and the linearized check."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -143,12 +143,12 @@ def diagnostics_report(data: Dataset, fit: FittedModel, k: int = 5) -> Diagnosti
             "mu_hat": mh,
             "residual": anscombe_residual(rec.m, mh, phi),
         }
-        for rec, mh in zip(fit.records, mu_hat.tolist())
+        for rec, mh in zip(fit.dataset.records, mu_hat.tolist())
     ]
     order = np.argsort(-np.abs(md.m - mu_hat), kind="stable")
     worst = [residuals[i] | {"delta": float(md.m[i] - mu_hat[i])} for i in order[:k]]
     return DiagnosticsReport(
         residuals=residuals,
         worst_fit=worst,
-        linearized=linearized_check(data),
+        linearized=linearized_check(fit.dataset),
     )

@@ -143,12 +143,13 @@ def build_design(
     return X, Z, list(data.keys)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelData:
     """Arrays the likelihood evaluates over, in fixed record order.
 
-    ``m`` may be replaced by a new array (the distinct counts follow it), but
-    not changed in place: ``distinct`` would then be stale.
+    The arrays are stored as read-only views, so no change made through
+    ``md`` can leave the stacked covariates or the distinct counts built here
+    stale; a replicate on the same strata is ``dataclasses.replace(md, m=...)``.
     """
 
     m: np.ndarray
@@ -158,12 +159,17 @@ class ModelData:
     Z: np.ndarray
     index: list[tuple]
     _W: np.ndarray = field(init=False, repr=False)
-    _distinct: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    distinct: DistinctCounts = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._W = np.hstack(
-            [self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]]
-        )
+        for name in ("m", "log_N", "log_ratio", "X", "Z"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        W = np.hstack([self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]])
+        W.flags.writeable = False
+        object.__setattr__(self, "_W", W)
+        object.__setattr__(self, "distinct", DistinctCounts.of(self.m))
 
     @property
     def n_obs(self) -> int:
@@ -171,17 +177,12 @@ class ModelData:
 
     @property
     def W(self) -> np.ndarray:
-        """Stacked covariates so that log mu = W @ (alpha, beta); built once."""
+        """Stacked covariates so that log mu = W @ (alpha, beta)."""
         return self._W
 
-    @property
-    def distinct(self) -> DistinctCounts:
-        """Distinct counts of the current ``m``; built once per array."""
-        of, counts = self._distinct
-        if of is not self.m:
-            counts = DistinctCounts.of(self.m)
-            self._distinct = (self.m, counts)
-        return counts
+    def record(self, i: int):
+        """The key of record ``i``, or ``i`` itself when ``index`` is empty."""
+        return self.index[i] if self.index else i
 
     def mu_values(self, params: ParamVector) -> np.ndarray:
         return np.exp(self.W @ np.concatenate([params.alpha, params.beta]))
@@ -215,8 +216,7 @@ def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
     )
     if not np.all(np.isfinite(ll)):
         i = int(np.argmax(~np.isfinite(ll)))
-        bad = md.index[i] if i < len(md.index) else i
-        raise NumericalError(f"non-finite log-likelihood term at record {bad}")
+        raise NumericalError(f"non-finite log-likelihood term at record {md.record(i)}")
     return float(np.sum(ll))
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import Dataset, StratumRecord
+from .dataio import Dataset
 from .distributions import SupportError, kind_needs_phi, kind_support_min
 from .meanmodel import (
     DesignSpec,
@@ -123,9 +123,8 @@ class FittedModel:
     xi_hat: float
     xi_by_group: dict[str, float]
     convergence: Convergence
-    records: tuple[StratumRecord, ...] = ()
-    data: ModelData | None = None
-    domain_names: tuple[str, ...] = ()
+    dataset: Dataset
+    data: ModelData
 
     @property
     def k(self) -> int:
@@ -233,7 +232,7 @@ def fit_kind(
     if np.any(md.m < lo):
         i = int(np.argmax(md.m < lo))
         raise SupportError(
-            f"record {md.index[i]} has m={md.m[i]:g}, below the support minimum {lo} of {kind}"
+            f"record {md.record(i)} has m={md.m[i]:g}, below the support minimum {lo} of {kind}"
         )
     has_phi = kind_needs_phi(kind)
     n_alpha = md.X.shape[1]
@@ -342,9 +341,8 @@ def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> F
         xi_hat=xi_hat,
         xi_by_group=_xi_groups(md, params.alpha, data, "country"),
         convergence=conv,
-        records=tuple(data.records),
+        dataset=data,
         data=md,
-        domain_names=data.domain_names,
     )
 
 
@@ -354,8 +352,7 @@ def xi_decompose(fit: FittedModel, by: str) -> dict[str, float]:
     ``by`` is "country", "country:<label>" (that country vs the rest), or a
     domain-variable name. Groups appear in the order of their first record.
     """
-    data = Dataset(records=tuple(fit.records), domain_names=fit.domain_names)
-    return _xi_groups(fit.data, fit.params.alpha, data, by)
+    return _xi_groups(fit.data, fit.params.alpha, fit.dataset, by)
 
 
 def _xi_groups(md: ModelData, alpha, data: Dataset, by: str) -> dict[str, float]:

@@ -11,7 +11,7 @@ closed form, and the zero-truncated NB2.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class SimulationReport:
     design: SimDesign
     metrics: dict[str, dict[str, dict[str, float]]]  # variant -> parameter -> rb/rrmse
     failures: dict[str, int]
-    flagged: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -163,14 +162,11 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}
-    flagged: list[str] = []
     for variant in design.variants:
         rows = [r[variant] for r in results if r[variant] is not None]
         failures[variant] = design.B - len(rows)
-        if failures[variant] > 0.2 * design.B:
-            flagged.append(variant)
         metrics[variant] = {}
         for parameter in PARAMETERS:
             est = np.array([row[parameter] for row in rows]) if rows else np.array([np.nan])
             metrics[variant][parameter] = aggregate_metrics(est, truth[parameter])
-    return SimulationReport(design=design, metrics=metrics, failures=failures, flagged=flagged)
+    return SimulationReport(design=design, metrics=metrics, failures=failures)

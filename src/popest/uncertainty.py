@@ -8,14 +8,14 @@ interval over order-statistic windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from .distributions import sample_many
 from .mle import FitOptions, FittedModel, fit_kind, xi_from_alpha
-from .meanmodel import ModelData, ParamVector
+from .meanmodel import ParamVector
 
 
 class IntervalError(ValueError):
@@ -120,32 +120,20 @@ def _draw_eta_star(
 
 
 def _replicate(
-    b: int,
-    seed: int,
-    fit: FittedModel,
-    md: ModelData,
-    mean: np.ndarray,
-    root: np.ndarray,
-    n_alpha: int,
-    n_beta: int,
-    has_phi: bool,
+    b: int, seed: int, fit: FittedModel, root: np.ndarray
 ) -> tuple[float, float | None, int]:
-    """Returns (xi_star, xi_hat_star or None on refit failure, phi redraws)."""
+    """Returns (xi_star, xi_hat_star or None on refit failure, phi redraws).
+    ``root`` is the symmetric square root of ``fit.covariance``."""
     rng = np.random.default_rng([seed, b])
-    eta, redraws = _draw_eta_star(mean, root, has_phi, rng)
-    params_star = ParamVector.unstack(eta, n_alpha, n_beta, has_phi)
+    md = fit.data
+    has_phi = fit.params.phi is not None
+    eta, redraws = _draw_eta_star(fit.params.stacked(), root, has_phi, rng)
+    params_star = ParamVector.unstack(eta, md.X.shape[1], md.Z.shape[1], has_phi)
     xi_star = xi_from_alpha(md, params_star.alpha)
     mu_star = md.mu_values(params_star)
-    kind = fit.model.family.token
     m_star = sample_many(fit.model.family, mu_star, params_star.phi, rng)
-    md_star = ModelData(
-        m=m_star.astype(float),
-        log_N=md.log_N,
-        log_ratio=md.log_ratio,
-        X=md.X,
-        Z=md.Z,
-        index=md.index,
-    )
+    md_star = replace(md, m=m_star.astype(float))
+    kind = fit.model.family.token
     try:
         params_hat, _, _, conv = fit_kind(md_star, kind, fit.params, FitOptions())
         if not conv.converged:
@@ -176,17 +164,8 @@ def parametric_bootstrap(
         raise IntervalError("fit has no covariance; bootstrap disabled")
     if B < 1:
         raise ValueError("B must be positive")
-    md = fit.data
-    n_alpha = len(fit.params.alpha)
-    n_beta = len(fit.params.beta)
-    has_phi = fit.params.phi is not None
-    mean = fit.params.stacked()
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
-
-    results = [
-        _replicate(b, seed, fit, md, mean, root, n_alpha, n_beta, has_phi)
-        for b in range(B)
-    ]
+    results = [_replicate(b, seed, fit, root) for b in range(B)]
 
     draws = [(xs, xh) for xs, xh, _ in results if xh is not None]
     failures = sum(1 for _, xh, _ in results if xh is None)

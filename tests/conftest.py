@@ -1,11 +1,13 @@
-"""Shared fixtures: synthetic datasets, finite-difference helpers."""
+"""Shared fixtures: synthetic datasets, hand-built fits, finite-difference
+helpers."""
 
 import numpy as np
 import pytest
 
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily, EtaPoint, sample
-from popest.meanmodel import DesignSpec, ModelSpec
+from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, prepare
+from popest.mle import Convergence, FittedModel, xi_from_alpha
 
 
 COUNTRIES = ("Ukraine", "Georgia", "Belarus", "Vietnam", "India", "Moldova", "Nepal")
@@ -64,6 +66,28 @@ def ztnb2_dataset() -> Dataset:
 @pytest.fixture
 def ztnb2_model() -> ModelSpec:
     return ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
+
+
+def manual_fit(dataset: Dataset, token: str, alpha: float, phi=None, covariance=None):
+    """A converged-looking FittedModel on ``dataset`` at the given alpha
+    (intercept only) and beta = 0, built without fitting."""
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    md = prepare(dataset, model.design)
+    params = ParamVector(np.array([alpha]), np.array([0.0]), phi=phi)
+    return FittedModel(
+        model=model,
+        params=params,
+        covariance=covariance,
+        loglik=0.0,
+        aic=0.0,
+        bic=0.0,
+        ssq=0.0,
+        xi_hat=xi_from_alpha(md, params.alpha),
+        xi_by_group={},
+        convergence=Convergence(1, 0.0, "converged"),
+        dataset=dataset,
+        data=md,
+    )
 
 
 def fd_gradient(f, theta, h=1e-5):

@@ -10,12 +10,10 @@ from popest.diagnostics import (
     diagnostics_report,
     linearized_check,
 )
-from popest.distributions import CountFamily
-from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, prepare
-from popest.mle import Convergence, FittedModel, linearized_init, xi_from_alpha
+from popest.mle import linearized_init
 from popest.simulation import _init_from_arrays
 
-from conftest import synth_dataset
+from conftest import manual_fit, synth_dataset
 
 
 def test_anscombe_zero_at_perfect_fit():
@@ -149,26 +147,9 @@ def test_linearized_check_permutation_invariant():
         assert a[key] == pytest.approx(b[key], abs=1e-12)
 
 
-def manual_fit(records, alpha=0.5, phi=2.0):
+def sex_fit(records):
     data = Dataset(records=tuple(records), domain_names=("sex",))
-    model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
-    md = prepare(data, model.design)
-    params = ParamVector(np.array([alpha]), np.array([0.0]), phi=phi)
-    return data, FittedModel(
-        model=model,
-        params=params,
-        covariance=None,
-        loglik=0.0,
-        aic=0.0,
-        bic=0.0,
-        ssq=0.0,
-        xi_hat=xi_from_alpha(md, params.alpha),
-        xi_by_group={},
-        convergence=Convergence(1, 0.0, "converged"),
-        records=data.records,
-        data=md,
-        domain_names=data.domain_names,
-    )
+    return manual_fit(data, "ztnb2", alpha=0.5, phi=2.0)
 
 
 def srec(country, m, N, domain=("F",)):
@@ -180,8 +161,8 @@ def srec(country, m, N, domain=("F",)):
 def test_report_perfect_fit_all_zero():
     # alpha = 0.5, beta = 0 gives mu = sqrt(N); squares make m = mu exact.
     records = [srec("A", 4, 16), srec("B", 10, 100), srec("C", 25, 625)]
-    data, fitted = manual_fit(records)
-    report = diagnostics_report(data, fitted, k=10)
+    fitted = sex_fit(records)
+    report = diagnostics_report(fitted, k=10)
     assert len(report.residuals) == 3  # k clamps to the record count
     # mu_hat carries exp(log(.)) rounding, so compare within float noise
     assert all(abs(row["residual"]) < 1e-12 for row in report.residuals)
@@ -194,8 +175,8 @@ def test_report_worst_fit_dominated_by_outlier():
         srec("B", 10, 100),
         srec("C", 414, 7635),  # mu_hat = sqrt(7635) = 87.4, delta = 326.6
     ]
-    data, fitted = manual_fit(records)
-    report = diagnostics_report(data, fitted, k=2)
+    fitted = sex_fit(records)
+    report = diagnostics_report(fitted, k=2)
     assert len(report.worst_fit) == 2
     top = report.worst_fit[0]
     assert top["m"] == 414
@@ -206,18 +187,18 @@ def test_report_worst_fit_dominated_by_outlier():
 
 def test_report_rejects_negative_k():
     records = [srec("A", 4, 16), srec("B", 10, 100), srec("C", 30, 625)]
-    data, fitted = manual_fit(records)
-    assert diagnostics_report(data, fitted, k=0).worst_fit == []
+    fitted = sex_fit(records)
+    assert diagnostics_report(fitted, k=0).worst_fit == []
     with pytest.raises(ValueError, match="nonnegative"):
-        diagnostics_report(data, fitted, k=-2)
+        diagnostics_report(fitted, k=-2)
 
 
 def test_report_serializes(tmp_path):
     import json
 
     records = [srec("A", 4, 16), srec("B", 10, 100), srec("C", 30, 625)]
-    data, fitted = manual_fit(records)
-    report = diagnostics_report(data, fitted, k=2)
+    fitted = sex_fit(records)
+    report = diagnostics_report(fitted, k=2)
     text = json.dumps(report.to_dict())
     parsed = json.loads(text)
     assert len(parsed["worst_fit"]) == 2

@@ -1,6 +1,7 @@
 """Design matrices, power-link mean, log-likelihood, score and Hessian."""
 
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -101,18 +102,30 @@ def test_build_design_equals_a_per_record_loop():
         build_design(data, DesignSpec.from_tokens(["intercept", "height:tall"]))
 
 
-def test_distinct_counts_follow_a_reassigned_m():
+def test_replace_carries_the_distinct_counts_of_its_own_m():
     records = [rec(m=3), rec("Georgia", m=7, n=30, N=300), rec("Belarus", m=3, n=9, N=90)]
     md = prepare(dataset(*records), DesignSpec())
-    first = md.distinct
-    assert first.values.tolist() == [3.0, 7.0]
-    assert md.distinct is first
-    md.m = np.array([5.0, 5.0, 2.0])
-    assert md.distinct.values.tolist() == [2.0, 5.0]
-    assert np.array_equal(md.distinct.values[md.distinct.inverse], md.m)
+    assert md.distinct.values.tolist() == [3.0, 7.0]
+    star = replace(md, m=np.array([5.0, 5.0, 2.0]))
+    assert md.distinct.values.tolist() == [3.0, 7.0]
+    assert star.distinct.values.tolist() == [2.0, 5.0]
+    assert np.array_equal(star.distinct.values[star.distinct.inverse], star.m)
+    assert np.array_equal(star.W, md.W)
     params = ParamVector(np.array([0.5]), np.array([0.4]), phi=1.5)
-    expect = float(np.sum(term_loglik("ztnb2", md.mu_values(params), 1.5, md.m)))
-    assert loglik_kind(md, "ztnb2", params) == expect
+    expect = float(np.sum(term_loglik("ztnb2", star.mu_values(params), 1.5, star.m)))
+    assert loglik_kind(star, "ztnb2", params) == expect
+
+
+def test_model_data_cannot_be_changed():
+    md = ModelData(
+        m=np.array([3.0, 7.0]), log_N=np.log([100.0, 300.0]), log_ratio=np.log([0.1, 0.1]),
+        X=np.ones((2, 1)), Z=np.ones((2, 1)), index=[],
+    )
+    with pytest.raises(FrozenInstanceError):
+        md.m = np.array([5.0, 5.0])
+    for name in ("m", "log_N", "log_ratio", "X", "Z", "W"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(md, name)[0] = 1.0
 
 
 def mu_values(records, params, alpha=("intercept",)):
@@ -201,7 +214,7 @@ def _random_instance(kind, rng, n_records=8):
         ],
         dtype=float,
     )
-    md.m = m
+    md = replace(md, m=m)
     # evaluate derivatives at a point near, but not at, the generator values
     theta0 = np.array([alpha, beta] + ([phi] if fam_phi else []))
     theta = theta0 * (1.0 + rng.uniform(-0.05, 0.05, size=len(theta0)))

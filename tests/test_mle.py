@@ -9,20 +9,25 @@ import pytest
 from popest import distributions, mle
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily, SupportError
-from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, loglik_kind, prepare
+from popest.meanmodel import (
+    DesignSpec,
+    ModelData,
+    ModelSpec,
+    ParamVector,
+    loglik_kind,
+    prepare,
+)
 from popest.mle import (
-    Convergence,
     FitOptions,
-    FittedModel,
     InitError,
     fit,
+    fit_kind,
     information_criteria,
     linearized_init,
     xi_decompose,
-    xi_from_alpha,
 )
 
-from conftest import fd_gradient, synth_dataset, synth_records
+from conftest import fd_gradient, manual_fit, synth_dataset, synth_records
 
 
 def noise_free_dataset(a=0.7, b=0.8, count=10):
@@ -223,26 +228,17 @@ def test_count_below_support_names_the_record():
         fit(data, model)
 
 
-def _manual_fit(records, alpha):
-    data = Dataset(records=tuple(records), domain_names=("sex",))
-    model = ModelSpec(family=CountFamily.from_token("po"), design=DesignSpec())
-    md = prepare(data, model.design)
-    params = ParamVector(np.array([alpha]), np.array([0.0]))
-    return FittedModel(
-        model=model,
-        params=params,
-        covariance=None,
-        loglik=0.0,
-        aic=0.0,
-        bic=0.0,
-        ssq=0.0,
-        xi_hat=xi_from_alpha(md, params.alpha),
-        xi_by_group={},
-        convergence=Convergence(1, 0.0, "converged"),
-        records=data.records,
-        data=md,
-        domain_names=data.domain_names,
+def test_count_below_support_names_the_position_when_index_is_empty():
+    # A ModelData without record keys (index=[], as the acceptance gate
+    # builds it) names a record by its position.
+    md = ModelData(
+        m=np.array([2.0, 0.0, 3.0]), log_N=np.log([100.0, 300.0, 50.0]),
+        log_ratio=np.log([0.1, 0.2, 0.1]), X=np.ones((3, 1)), Z=np.ones((3, 1)),
+        index=[],
     )
+    start = ParamVector(np.array([0.5]), np.array([0.5]))
+    with pytest.raises(SupportError, match="record 1 has m=0"):
+        fit_kind(md, "ztpo", start)
 
 
 def srec(country, N, n=None, domain=("F",)):
@@ -253,7 +249,8 @@ def srec(country, N, n=None, domain=("F",)):
 
 
 def test_xi_decompose_power_sums():
-    fitted = _manual_fit([srec("A", 100), srec("B", 16)], alpha=0.5)
+    data = Dataset(records=(srec("A", 100), srec("B", 16)), domain_names=("sex",))
+    fitted = manual_fit(data, "po", alpha=0.5)
     groups = xi_decompose(fitted, "country")
     assert groups["A"] == pytest.approx(10.0, rel=1e-12)
     assert groups["B"] == pytest.approx(4.0, rel=1e-12)
@@ -261,7 +258,8 @@ def test_xi_decompose_power_sums():
 
 
 def test_xi_decompose_constant_grouping():
-    fitted = _manual_fit([srec("A", 100), srec("A", 16, n=3)], alpha=0.5)
+    data = Dataset(records=(srec("A", 100), srec("A", 16, n=3)), domain_names=("sex",))
+    fitted = manual_fit(data, "po", alpha=0.5)
     groups = xi_decompose(fitted, "country")
     assert set(groups) == {"A"}
     assert groups["A"] == pytest.approx(fitted.xi_hat, abs=1e-10)
@@ -278,6 +276,7 @@ def test_xi_decompose_partition_sums(ztnb2_dataset, ztnb2_model):
 
 def test_xi_decompose_equals_a_per_record_loop(ztnb2_dataset, ztnb2_model):
     fitted = fit(ztnb2_dataset, ztnb2_model)
+    assert fitted.dataset is ztnb2_dataset  # its cached codes group the records
     contributions = np.exp((fitted.data.X @ fitted.params.alpha) * fitted.data.log_N)
     keyers = {
         "country": lambda r: r.country,

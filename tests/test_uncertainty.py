@@ -6,8 +6,8 @@ from scipy import stats
 
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily
-from popest.meanmodel import DesignSpec, ModelSpec, ParamVector, prepare
-from popest.mle import Convergence, FittedModel, fit, xi_from_alpha
+from popest.meanmodel import DesignSpec, ModelSpec
+from popest.mle import fit
 from popest.uncertainty import (
     IntervalError,
     parametric_bootstrap,
@@ -16,33 +16,18 @@ from popest.uncertainty import (
     spin_interval,
 )
 
+from conftest import manual_fit
 
-def one_country_fit(alpha_se: float, level_z: float | None = None):
+
+def one_country_fit(alpha_se: float):
     """Single record with N=100, alpha_hat=0.5; covariance only on alpha."""
     records = (
         StratumRecord(period="Q1", country="A", domain=(), m=5, n=10, N=100),
     )
-    data = Dataset(records=records, domain_names=())
-    model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
-    md = prepare(data, model.design)
-    params = ParamVector(np.array([0.5]), np.array([0.0]), phi=1.0)
     cov = np.zeros((3, 3))
     cov[0, 0] = alpha_se**2
-    return FittedModel(
-        model=model,
-        params=params,
-        covariance=cov,
-        loglik=0.0,
-        aic=0.0,
-        bic=0.0,
-        ssq=0.0,
-        xi_hat=xi_from_alpha(md, params.alpha),
-        xi_by_group={},
-        convergence=Convergence(1, 0.0, "converged"),
-        records=records,
-        data=md,
-        domain_names=(),
-    )
+    data = Dataset(records=records, domain_names=())
+    return manual_fit(data, "ztnb2", alpha=0.5, phi=1.0, covariance=cov)
 
 
 def test_plugin_zero_se_degenerates():
