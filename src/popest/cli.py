@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 model/numerical failure, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -157,16 +159,13 @@ def cmd_compare(args) -> int:
                     }
                 )
     rows.sort(key=lambda r: r["bic"])
-    lines = ["dist,alpha_covariates,loglik,aic,bic,xi_hat,status"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"])
     for r in rows:
-        status = r["status"]
-        if any(c in status for c in ',"\n'):  # failure messages can name a record key
-            status = '"' + status.replace('"', '""') + '"'
-        lines.append(
-            f"{r['dist']},\"{r['alpha_covariates']}\",{r['loglik']:.4f},"
-            f"{r['aic']:.4f},{r['bic']:.4f},{r['xi_hat']:.4f},{status}"
-        )
-    _write("\n".join(lines) + "\n", args.output)
+        numbers = (f"{r[c]:.4f}" for c in ("loglik", "aic", "bic", "xi_hat"))
+        writer.writerow([r["dist"], r["alpha_covariates"], *numbers, r["status"]])
+    _write(out.getvalue(), args.output)
     return 0
 
 
@@ -203,13 +202,13 @@ def cmd_diagnose(args) -> int:
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
     _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("period,country,domain,m,mu_hat,residual\n")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["period", "country", "domain", "m", "mu_hat", "residual"])
             for row in report.residuals:
                 period, country, domain = row["key"]
-                fh.write(
-                    f"{period},{country},{'|'.join(domain)},{row['m']},"
-                    f"{row['mu_hat']!r},{row['residual']!r}\n"
+                writer.writerow(
+                    [period, country, "|".join(domain), row["m"], row["mu_hat"], row["residual"]]
                 )
     return 0
 

@@ -147,9 +147,11 @@ def build_design(
 class ModelData:
     """Arrays the likelihood evaluates over, in fixed record order.
 
-    The arrays are stored as read-only views, so no change made through
-    ``md`` can leave the stacked covariates or the distinct counts built here
-    stale; a replicate on the same strata is ``dataclasses.replace(md, m=...)``.
+    The arrays are stored read-only, and a writable input is copied first, so
+    no later write, through ``md`` or to the caller's array, can leave the
+    stacked covariates or the distinct counts built here stale. Read-only
+    inputs are shared: a replicate on the same strata is
+    ``dataclasses.replace(md, m=...)`` and copies only its ``m``.
     """
 
     m: np.ndarray
@@ -163,9 +165,10 @@ class ModelData:
 
     def __post_init__(self):
         for name in ("m", "log_N", "log_ratio", "X", "Z"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            arr = np.asarray(getattr(self, name))
+            arr = arr.copy() if arr.flags.writeable else arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         W = np.hstack([self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]])
         W.flags.writeable = False
         object.__setattr__(self, "_W", W)

@@ -29,7 +29,8 @@ _LOG_PHI_MIN = float(np.log(1e-6))
 _LOG_PHI_MAX = float(np.log(1e6))
 _MAX_HALVINGS = 30
 # Newton decrement g'(-H)^-1 g, the squared remaining step in standard errors
-# (the covariance is (-H)^-1), below which a stalled line search is converged.
+# (the covariance is (-H)^-1). Below it the fit is converged and takes no
+# further step, which could raise the log-likelihood by only about half of it.
 _DECREMENT_TOL = 1e-8
 
 
@@ -92,9 +93,10 @@ def linearized_init(data: Dataset) -> tuple[float, float, float]:
 @dataclass
 class Convergence:
     """Why Newton stopped. ``status`` is "converged" when max|g| fell below
-    ``grad_tol``, or when no step halving could raise the log-likelihood and
-    the remaining Newton step was under 1e-4 standard errors; "stalled" when
-    no halving helped short of that; "max-iterations" otherwise.
+    ``grad_tol`` or the Newton decrement g'(-H)^-1 g below 1e-8 (the remaining
+    step under 1e-4 standard errors), both tested before any line-search
+    probe; "stalled" when no step halving could raise the log-likelihood
+    short of that; "max-iterations" otherwise.
     ``iterations`` counts score/Hessian evaluations, the last one at the
     returned parameters (a fit that takes all ``max_iter`` steps makes
     ``max_iter + 1``); ``grad_norm`` is max|g| at the returned parameters."""
@@ -205,8 +207,9 @@ def _clip_theta(theta, has_phi):
 @dataclass
 class FitOptions:
     """Newton settings: at most ``max_iter`` iterations, converged once
-    max|g| < ``grad_tol``; accepted log-likelihood values are appended to
-    ``trace`` when it is a list."""
+    max|g| < ``grad_tol`` or the Newton decrement is below ``_DECREMENT_TOL``;
+    accepted log-likelihood values are appended to ``trace`` when it is a
+    list."""
 
     max_iter: int = 200
     grad_tol: float = 1e-6
@@ -255,15 +258,14 @@ def fit_kind(
         options.trace.append(ll)
 
     status = "max-iterations"
-    # One pass per evaluation of (g, H) at theta; the pass after the last
-    # allowed step only tests the returned point and keeps H for the covariance.
+    # One pass per evaluation of (g, H) at theta. The stop rule is tested before
+    # any probe, so the pass after the last allowed step still tests the
+    # returned point, and H is kept for the covariance.
     for it in range(1, max(options.max_iter, 0) + 2):
         g, H = _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < options.grad_tol:
             status = "converged"
-            break
-        if it > options.max_iter:
             break
         try:
             np.linalg.cholesky(-H)
@@ -274,6 +276,11 @@ def fit_kind(
             scale = float(np.max(np.abs(np.diag(H))))
             step = g / max(scale, 1.0)
             decrement = np.inf
+        if decrement < _DECREMENT_TOL:
+            status = "converged"
+            break
+        if it > options.max_iter:
+            break
         accepted = False
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -287,7 +294,7 @@ def fit_kind(
                 break
             t *= 0.5
         if not accepted:
-            status = "converged" if decrement < _DECREMENT_TOL else "stalled"
+            status = "stalled"
             break
 
     params = _params_from_internal(theta, n_alpha, n_beta, has_phi)

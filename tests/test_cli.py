@@ -21,12 +21,11 @@ SCHEMA = "period=period,country=country,domain=sex+age,m=m,n=n,N=N"
 
 
 def write_csv(path, records):
-    lines = ["period,country,sex,age,m,n,N"]
-    for r in records:
-        lines.append(
-            f"{r.period},{r.country},{r.domain[0]},{r.domain[1]},{r.m},{r.n},{r.N}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["period", "country", "sex", "age", "m", "n", "N"])
+        for r in records:
+            writer.writerow([r.period, r.country, *r.domain, r.m, r.n, r.N])
     return str(path)
 
 
@@ -219,6 +218,34 @@ def test_diagnose_csv(data_csv, tmp_path, capsys):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "period,country,domain,m,mu_hat,residual"
     assert len(lines) == 41  # header + one row per record
+
+
+def test_csv_reports_round_trip_labels_with_commas_and_quotes(tmp_path, capsys):
+    rename = {"Ukraine": "Korea, Republic of", "Georgia": 'Georgia "GE"'}
+    records = [
+        dataclasses.replace(r, country=rename.get(r.country, r.country))
+        for r in synth_records(11, 40)
+    ]
+    path = write_csv(tmp_path / "labels.csv", records)
+    resid = tmp_path / "resid.csv"
+    code = main(["diagnose", "--data", path, "--schema", SCHEMA, "--dist", "ztnb2",
+                 "--csv", str(resid)])
+    assert code == 0
+    capsys.readouterr()
+    with open(resid, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["period", "country", "domain", "m", "mu_hat", "residual"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [row[1] for row in rows[1:]] == [r.country for r in records]
+
+    code = main(["compare", "--data", path, "--schema", SCHEMA, "--dists", "po",
+                 "--alpha-covs", 'intercept;intercept,country:Georgia "GE"'])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert sorted(row[1] for row in rows[1:]) == [
+        "intercept", 'intercept,country:Georgia "GE"'
+    ]
 
 
 def test_pad_flag_flows_through(tmp_path, capsys):

@@ -128,6 +128,25 @@ def test_model_data_cannot_be_changed():
             getattr(md, name)[0] = 1.0
 
 
+def test_writes_to_the_callers_arrays_do_not_reach_model_data():
+    m, X = np.array([3.0, 7.0]), np.ones((2, 1))
+    md = ModelData(
+        m=m, log_N=np.log([100.0, 300.0]), log_ratio=np.log([0.1, 0.1]),
+        X=X, Z=np.ones((2, 1)), index=[],
+    )
+    W = md.W.copy()
+    m[0] = 5.0
+    X[0, 0] = 2.0
+    assert md.m.tolist() == [3.0, 7.0]
+    assert md.distinct.values.tolist() == [3.0, 7.0]
+    assert md.X.tolist() == [[1.0], [1.0]]
+    assert np.array_equal(md.W, W)
+    # read-only inputs stay shared, so a replicate copies only its new counts
+    star = replace(md, m=np.array([4.0, 4.0]))
+    assert star.X is not md.X and np.shares_memory(star.X, md.X)
+    assert not np.shares_memory(star.m, md.m)
+
+
 def mu_values(records, params, alpha=("intercept",)):
     """Power-link means of ``records`` under an alpha design of ``alpha`` terms."""
     design = DesignSpec.from_tokens(list(alpha), ["intercept"])

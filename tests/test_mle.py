@@ -16,6 +16,7 @@ from popest.meanmodel import (
     ParamVector,
     loglik_kind,
     prepare,
+    score_and_hessian_kind,
 )
 from popest.mle import (
     FitOptions,
@@ -217,6 +218,49 @@ def test_last_allowed_step_is_tested_at_the_returned_point(token):
     assert np.array_equal(capped.params.stacked(), free.params.stacked())
     assert np.array_equal(capped.covariance, free.covariance)
     assert capped.loglik == free.loglik
+
+
+@pytest.mark.parametrize("grad_tol", [1e-6, 0.0])  # 0: only the decrement can stop
+@pytest.mark.parametrize("token", ["po", "ztpo", "nb2", "ztnb2"])
+def test_converged_fit_makes_no_probe_after_its_last_evaluation(
+    token, grad_tol, monkeypatch
+):
+    events = []
+
+    def recording(name, real):
+        def wrapper(*args):
+            events.append(name)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(mle, "loglik_kind", recording("ll", mle.loglik_kind))
+    monkeypatch.setattr(
+        mle, "score_and_hessian_kind", recording("sh", mle.score_and_hessian_kind)
+    )
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    fitted = fit(synth_dataset(11, 40), model, FitOptions(grad_tol=grad_tol))
+    assert fitted.convergence.converged
+    assert events[-1] == "sh"  # the stop rule ran before any probe
+
+
+@pytest.mark.parametrize("token", ["po", "ztpo", "nb2", "ztnb2"])
+def test_returned_point_meets_the_stop_rule(token):
+    model = ModelSpec(family=CountFamily.from_token(token), design=DesignSpec())
+    fitted = fit(synth_dataset(11, 40), model)
+    assert fitted.convergence.converged
+    g, H = score_and_hessian_kind(fitted.data, token, fitted.params)
+    if fitted.params.phi is not None:
+        # to the log(phi) scale that Newton iterates on
+        phi, p = fitted.params.phi, len(g) - 1
+        H[p, p] = phi**2 * H[p, p] + phi * g[p]
+        H[:p, p] *= phi
+        H[p, :p] *= phi
+        g[p] *= phi
+    grad_norm = float(np.max(np.abs(g)))
+    assert grad_norm == fitted.convergence.grad_norm
+    decrement = float(g @ np.linalg.solve(-H, g))
+    assert grad_norm < FitOptions().grad_tol or decrement < mle._DECREMENT_TOL
 
 
 def test_count_below_support_names_the_record():
