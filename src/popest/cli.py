@@ -12,13 +12,11 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import dataio, diagnostics, mle, simulation, uncertainty
-from .distributions import CountFamily, ParameterError, SupportError
-from .meanmodel import DesignSpec, ModelSpec
+from .distributions import _FAMILY_TOKENS, CountFamily, ParameterError, SupportError
+from .meanmodel import DesignError, DesignSpec, ModelSpec
 
-DIST_CHOICES = ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2")
+DIST_CHOICES = tuple(_FAMILY_TOKENS)
 
 
 class UsageError(ValueError):
@@ -70,11 +68,16 @@ def _load_dataset(args) -> dataio.Dataset:
     return data
 
 
-def _model_spec(args) -> ModelSpec:
-    family = CountFamily.from_token(args.dist)
-    alpha = (args.alpha_cov or "intercept").split(",")
-    beta = (args.beta_cov or "intercept").split(",")
+def _model_spec(dist: str, alpha_cov: str | None, beta_cov: str | None) -> ModelSpec:
+    family = CountFamily.from_token(dist)
+    alpha = (alpha_cov or "intercept").split(",")
+    beta = (beta_cov or "intercept").split(",")
     return ModelSpec(family=family, design=DesignSpec.from_tokens(alpha, beta))
+
+
+def _load_and_fit(args) -> mle.FittedModel:
+    data = _load_dataset(args)
+    return mle.fit(data, _model_spec(args.dist, args.alpha_cov, args.beta_cov))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -108,9 +111,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_fit(args) -> int:
-    data = _load_dataset(args)
-    spec = _model_spec(args)
-    fitted = mle.fit(data, spec)
+    fitted = _load_and_fit(args)
     _write(json.dumps(fitted.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
     if not fitted.convergence.converged and not args.allow_nonconverged:
         print("fit did not converge", file=sys.stderr)
@@ -125,46 +126,25 @@ def cmd_compare(args) -> int:
         if d not in DIST_CHOICES:
             raise UsageError(f"unknown distribution token {d!r}")
     cov_sets = [s.strip() for s in args.alpha_covs.split(";")] if args.alpha_covs else ["intercept"]
-    rows = []
+    rows = []  # one (dist, label, loglik, aic, bic, xi_hat, status) per grid cell
     for dist in dists:
         for cov in cov_sets:
-            spec = ModelSpec(
-                family=CountFamily.from_token(dist),
-                design=DesignSpec.from_tokens(cov.split(","), (args.beta_cov or "intercept").split(",")),
-            )
+            spec = _model_spec(dist, cov, args.beta_cov)
             label = ",".join(t.label() for t in spec.design.alpha_covariates)
             try:
                 fitted = mle.fit(data, spec)
-                rows.append(
-                    {
-                        "dist": dist,
-                        "alpha_covariates": label,
-                        "loglik": fitted.loglik,
-                        "aic": fitted.aic,
-                        "bic": fitted.bic,
-                        "xi_hat": fitted.xi_hat,
-                        "status": fitted.convergence.status,
-                    }
-                )
-            except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-                rows.append(
-                    {
-                        "dist": dist,
-                        "alpha_covariates": label,
-                        "loglik": float("nan"),
-                        "aic": float("inf"),
-                        "bic": float("inf"),
-                        "xi_hat": float("nan"),
-                        "status": f"failed: {exc}",
-                    }
-                )
-    rows.sort(key=lambda r: r["bic"])
+                numbers = (fitted.loglik, fitted.aic, fitted.bic, fitted.xi_hat)
+                status = fitted.convergence.status
+            except mle.FIT_ERRORS as exc:
+                numbers = (float("nan"), float("inf"), float("inf"), float("nan"))
+                status = f"failed: {exc}"
+            rows.append((dist, label, *numbers, status))
+    rows.sort(key=lambda r: r[4])  # by bic
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"])
-    for r in rows:
-        numbers = (f"{r[c]:.4f}" for c in ("loglik", "aic", "bic", "xi_hat"))
-        writer.writerow([r["dist"], r["alpha_covariates"], *numbers, r["status"]])
+    for dist, label, *numbers, status in rows:
+        writer.writerow([dist, label, *(f"{v:.4f}" for v in numbers), status])
     _write(out.getvalue(), args.output)
     return 0
 
@@ -172,9 +152,11 @@ def cmd_compare(args) -> int:
 def cmd_boot(args) -> int:
     if args.B < 1:
         raise UsageError("-B must be a positive integer")
-    data = _load_dataset(args)
-    spec = _model_spec(args)
-    fitted = mle.fit(data, spec)
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if not 0.0 < args.quantile_level < 1.0:
+        raise UsageError("--quantile-level must lie strictly between 0 and 1")
+    fitted = _load_and_fit(args)
     if not fitted.convergence.converged:
         print("fit did not converge; bootstrap aborted", file=sys.stderr)
         return 1
@@ -196,9 +178,7 @@ def cmd_boot(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.top_k < 0:
         raise UsageError("--top-k must be nonnegative")
-    data = _load_dataset(args)
-    spec = _model_spec(args)
-    fitted = mle.fit(data, spec)
+    fitted = _load_and_fit(args)
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
     _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
     if args.csv:
@@ -218,19 +198,24 @@ def cmd_simulate(args) -> int:
         raise UsageError("-B must be at least 2")
     if args.strata < 1:
         raise UsageError("--strata must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     variants = tuple(v.strip() for v in args.variants.split(",")) if args.variants else tuple(
         simulation.VARIANT_KINDS
     )
     population = tuple(simulation.synthetic_population(args.strata, args.seed))
-    design = simulation.SimDesign(
-        alpha_true=args.alpha,
-        beta_true=args.beta,
-        phi_true=args.phi,
-        B=args.B,
-        seed=args.seed,
-        population=population,
-        variants=variants,
-    )
+    try:
+        design = simulation.SimDesign(
+            alpha_true=args.alpha,
+            beta_true=args.beta,
+            phi_true=args.phi,
+            B=args.B,
+            seed=args.seed,
+            population=population,
+            variants=variants,
+        )
+    except ValueError as exc:  # an unknown --variants name
+        raise UsageError(str(exc)) from None
     report = simulation.run_simulation(design)
     _write(report.to_csv(), args.output)
     return 0
@@ -292,10 +277,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, dataio.SchemaError, dataio.ParseError, dataio.DuplicateKeyError,
-            dataio.PaddingError, ParameterError, SupportError) as exc:
+            dataio.PaddingError, DesignError, ParameterError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except mle.FIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

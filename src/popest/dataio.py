@@ -61,13 +61,6 @@ class Dataset:
     domain_names: tuple[str, ...] = ()
     provenance: str = ""
 
-    def totals(self) -> tuple[int, int, int]:
-        return (
-            sum(r.m for r in self.records),
-            sum(r.n for r in self.records),
-            sum(r.N for r in self.records),
-        )
-
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only float arrays (m, n, N) in record order."""
@@ -107,28 +100,20 @@ class Dataset:
 class AuditReport:
     """What apply_model_conditions did: merges into the pseudo-country and
     pseudo-country records dropped because they still violate the conditions.
+    Each entry is a record's fields, copied with ``dict(vars(record))``;
+    ``dataclasses.asdict`` would deep-copy each of the thousands of entries
+    of a large panel, on every load.
     """
 
     merged: list[dict] = field(default_factory=list)
     dropped: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"merged": self.merged, "dropped": self.dropped}
+        return dict(vars(self))
 
     @property
     def empty(self) -> bool:
         return not self.merged and not self.dropped
-
-
-def _record_dict(r: StratumRecord) -> dict:
-    return {
-        "period": r.period,
-        "country": r.country,
-        "domain": list(r.domain),
-        "m": r.m,
-        "n": r.n,
-        "N": r.N,
-    }
 
 
 def _parse_count(raw: str, column: str, row_number: int) -> int:
@@ -211,7 +196,7 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
         pool[0] += rec.m
         pool[1] += rec.n
         pool[2] += rec.N
-        audit.merged.append(_record_dict(rec))
+        audit.merged.append(dict(vars(rec)))
 
     out: list[StratumRecord] = []
     merged_into_existing: set[tuple] = set()
@@ -222,7 +207,7 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
             rec = replace(rec, m=rec.m + pool[0], n=rec.n + pool[1], N=rec.N + pool[2])
             merged_into_existing.add(key)
             if not rec.conforms():
-                audit.dropped.append(_record_dict(rec))
+                audit.dropped.append(dict(vars(rec)))
                 continue
         out.append(rec)
     for key, pool in pools.items():
@@ -235,7 +220,7 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
         if pseudo.conforms():
             out.append(pseudo)
         else:
-            audit.dropped.append(_record_dict(pseudo))
+            audit.dropped.append(dict(vars(pseudo)))
 
     return replace(data, records=tuple(out)), audit
 

@@ -7,7 +7,7 @@ the power-link mean, and a worst-fit report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,15 +58,7 @@ class LinearizedCheck:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "corr_logN": self.corr_logN,
-            "corr_logratio": self.corr_logratio,
-            "coef_logN": self.coef_logN,
-            "coef_logratio": self.coef_logratio,
-            "assumption_flag": self.assumption_flag,
-            "by_group": self.by_group,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _linearized_stats(m, n, N) -> tuple[float, float, float, float]:

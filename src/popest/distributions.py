@@ -11,9 +11,9 @@ Each kind's per-record log-likelihood term has one implementation,
 line search (``meanmodel.loglik_kind``) checks phi and the counts once per
 call and runs the unchecked kernel, whose non-finite terms it rejects.
 ``term_derivatives`` returns only the (mu, phi) derivatives of that term.
-Given the distinct counts of m (``DistinctCounts``), the kernel and
-``term_derivatives`` evaluate each special function of m + c once per
-distinct count.
+The kernel and ``term_derivatives`` evaluate each special function of m + c
+once per distinct count of m (``DistinctCounts``); a caller that evaluates
+one m many times builds its distinct counts once and passes them.
 """
 
 from __future__ import annotations
@@ -101,20 +101,19 @@ class EtaPoint:
     phi: float | None = None
 
 
+def _check_mu(mu: np.ndarray) -> None:
+    if not np.all((mu > 0.0) & (mu < np.inf)):
+        raise ParameterError("mu must be positive and finite")
+
+
 def _check_phi(phi) -> None:
+    if isinstance(phi, float) and 0.0 < phi < np.inf:
+        return
     if phi is None:
         raise ParameterError("dispersion phi is required for NB2")
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)) or np.any(phi <= 0):
         raise ParameterError("phi must be positive and finite")
-
-
-def _check_params(mu, phi, needs_phi: bool) -> None:
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-        raise ParameterError("mu must be positive and finite")
-    if needs_phi:
-        _check_phi(phi)
 
 
 def _log1mexp(a):
@@ -136,12 +135,9 @@ class DistinctCounts(NamedTuple):
         return DistinctCounts(*np.unique(m, return_inverse=True))
 
 
-def _of_counts(f, m, c, counts: DistinctCounts | None):
+def _of_counts(f, c, counts: DistinctCounts):
     """f(m + c) for an element-wise special function f, evaluated once per
-    distinct count when ``counts`` (the distinct counts of m) is given. Both
-    ways give the same bits."""
-    if counts is None:
-        return f(m + c)
+    distinct count of m."""
     return f(counts.values + c)[counts.inverse]
 
 
@@ -154,14 +150,14 @@ def _trigamma(x):
 # ---------------------------------------------------------------------------
 
 def _poisson_logpmf(mu, m, counts):
-    return m * np.log(mu) - mu - _of_counts(gammaln, m, 1.0, counts)
+    return m * np.log(mu) - mu - _of_counts(gammaln, 1.0, counts)
 
 
 def _nb2_logpmf(mu, phi, m, counts):
     return (
-        _of_counts(gammaln, m, phi, counts)
+        _of_counts(gammaln, phi, counts)
         - gammaln(phi)
-        - _of_counts(gammaln, m, 1.0, counts)
+        - _of_counts(gammaln, 1.0, counts)
         - (m + phi) * np.log1p(mu / phi)
         + m * (np.log(mu) - np.log(phi))
     )
@@ -206,19 +202,19 @@ def _checked(kind: str, mu, phi, m):
     """Family of ``kind`` and (mu, m) as float arrays, after the argument and
     support checks shared by ``term_loglik`` and ``term_derivatives``."""
     fam = _kind_family(kind)
-    _check_params(mu, phi, fam.has_dispersion)
     mu = np.asarray(mu, dtype=float)
+    _check_mu(mu)
     m = np.asarray(m, dtype=float)
-    _check_support(fam, kind, m)
+    check_kind_args(kind, phi, m)
     return fam, mu, m
 
 
-def check_kind_args(kind: str, phi: float | None, m: np.ndarray) -> CountFamily:
+def check_kind_args(kind: str, phi, m: np.ndarray) -> CountFamily:
     """Family of ``kind``, after the checks of ``term_loglik`` that do not
-    involve mu, for a scalar phi and a float array of counts; for callers of
+    involve mu, for a float array of counts; for callers of
     ``term_loglik_kernel``."""
     fam = _kind_family(kind)
-    if fam.has_dispersion and not (phi is not None and 0.0 < phi < np.inf):
+    if fam.has_dispersion:
         _check_phi(phi)
     _check_support(fam, kind, m)
     return fam
@@ -252,14 +248,15 @@ def term_loglik_kernel(
         a = mu + phi
         b = m + phi
         return m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
+    counts = DistinctCounts.of(m) if counts is None else counts
     if kind == "nb2-mixture":
         return (
             m * np.log(mu)
             + phi * np.log(phi)
-            - _of_counts(gammaln, m, 1.0, counts)
+            - _of_counts(gammaln, 1.0, counts)
             - gammaln(phi)
             - (m + phi) * np.log(mu + phi)
-            + _of_counts(gammaln, m, phi, counts)
+            + _of_counts(gammaln, phi, counts)
         )
     if fam.family is Family.POISSON:
         ll = _poisson_logpmf(mu, m, counts)
@@ -290,7 +287,8 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
     """
     from scipy import integrate
 
-    _check_params(mu, phi, True)
+    _check_mu(np.asarray(mu, dtype=float))
+    _check_phi(phi)
     if m < 0:
         raise SupportError("m must be nonnegative")
 
@@ -346,8 +344,10 @@ def sample_many(
     family: CountFamily, mu: np.ndarray, phi: float | None, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized draw, one count per mu entry, rejection per record."""
-    _check_params(mu, phi, family.has_dispersion)
     mu = np.asarray(mu, dtype=float)
+    _check_mu(mu)
+    if family.has_dispersion:
+        _check_phi(phi)
     lo = family.support_min
     out = _sample_untruncated(family.family, mu, phi, rng, mu.shape)
     if lo == 0:
@@ -386,10 +386,10 @@ def _nb2_derivs(mu, phi, m, counts):
     a = mu + phi
     d_mu = m / mu - (m + phi) / a
     d_mumu = -m / mu**2 + (m + phi) / a**2
-    d_phi = _of_counts(psi, m, phi, counts) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
+    d_phi = _of_counts(psi, phi, counts) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
     # d/dphi of d_phi
     d_phiphi = (
-        _of_counts(_trigamma, m, phi, counts)
+        _of_counts(_trigamma, phi, counts)
         - _trigamma(phi)
         - 1.0 / a
         + (m - mu) / a**2
@@ -467,11 +467,12 @@ def term_derivatives(
 ) -> TermDerivs:
     """The (mu, phi) derivatives of ``term_loglik``, for the same kinds and
     with the same argument checks; the term itself is not evaluated.
-    ``counts``, if given, holds the distinct counts of m.
+    ``counts`` holds the distinct counts of m (built here when not given).
 
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
     fam, mu, m = _checked(kind, mu, phi, m)
+    counts = DistinctCounts.of(m) if counts is None else counts
     if kind == "zhang":
         base = _zhang_derivs
     else:

@@ -32,6 +32,9 @@ _MAX_HALVINGS = 30
 # (the covariance is (-H)^-1). Below it the fit is converged and takes no
 # further step, which could raise the log-likelihood by only about half of it.
 _DECREMENT_TOL = 1e-8
+# What a failed fit raises (bad data or parameters, a numerical failure, a
+# singular system); callers that count or report failed fits catch these.
+FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
 
 class InitError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData, ParamVector
-from .mle import FitOptions, fit_kind, linearized_start
+from .mle import FIT_ERRORS, FitOptions, fit_kind, linearized_start
 
 VARIANT_KINDS = {
     "zhang-approx": "zhang",
@@ -117,7 +117,7 @@ def _replicate(b: int, design: SimDesign, log_N, log_ratio, mu):
         kind = VARIANT_KINDS[variant]
         try:
             params, _, _, conv = fit_kind(md, kind, start, FitOptions())
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+        except FIT_ERRORS:
             out[variant] = None
             continue
         if not conv.converged:

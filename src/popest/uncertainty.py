@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import sample_many
-from .mle import FitOptions, FittedModel, fit_kind, xi_from_alpha
+from .mle import FIT_ERRORS, FitOptions, FittedModel, fit_kind, xi_from_alpha
 from .meanmodel import ParamVector
 
 
@@ -98,9 +98,10 @@ def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
     cov = 0.5 * (cov + cov.T)
     try:
         vals, vecs = np.linalg.eigh(cov)
+        jitter = np.min(vals) < 0
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov + 1e-10 * np.eye(len(cov)))
-    if np.min(vals) < 0:
+        jitter = True
+    if jitter:
         vals, vecs = np.linalg.eigh(cov + 1e-10 * np.eye(len(cov)))
     vals = np.clip(vals, 0.0, None)
     return vecs @ (np.sqrt(vals)[:, None] * vecs.T)
@@ -138,7 +139,7 @@ def _replicate(
         params_hat, _, _, conv = fit_kind(md_star, kind, fit.params, FitOptions())
         if not conv.converged:
             return xi_star, None, redraws
-    except (ValueError, RuntimeError, np.linalg.LinAlgError):
+    except FIT_ERRORS:
         return xi_star, None, redraws
     return xi_star, xi_from_alpha(md_star, params_hat.alpha), redraws
 
@@ -164,6 +165,8 @@ def parametric_bootstrap(
         raise IntervalError("fit has no covariance; bootstrap disabled")
     if B < 1:
         raise ValueError("B must be positive")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
     results = [_replicate(b, seed, fit, root) for b in range(B)]
 

@@ -180,6 +180,35 @@ def test_boot_zero_B_is_usage_error(data_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("level", ["1.5", "1.0", "0.0", "-0.2"])
+def test_boot_quantile_level_outside_the_unit_interval_is_usage_error(data_csv, level, capsys):
+    code = main(
+        ["boot", "--data", data_csv, "--schema", SCHEMA, "--dist", "ztnb2", "-B", "4",
+         "--quantile-level", level]
+    )
+    assert code == 2
+    assert "--quantile-level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--phi", "2.5", "-B", "4", "--variants", "bogus"], "unknown variant"),
+        (["simulate", "--phi", "2.5", "-B", "4", "--seed", "-1"], "--seed"),
+        (["boot", "DATA", "--dist", "ztnb2", "-B", "4", "--seed", "-1"], "--seed"),
+        (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,bogus:x"], "bogus"),
+        (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "foo"], "foo"),
+        (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,intercept"], "duplicate"),
+    ],
+    ids=["simulate-variant", "simulate-seed", "boot-seed", "fit-unknown-variable",
+         "fit-malformed-term", "fit-duplicate-term"],
+)
+def test_bad_option_values_are_usage_errors(data_csv, argv, message, capsys):
+    argv = [a for arg in argv for a in (["--data", data_csv, "--schema", SCHEMA] if arg == "DATA" else [arg])]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_boot_draws_csv(data_csv, tmp_path):
     draws = tmp_path / "draws.csv"
     code = main(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, polygamma, zeta
+from scipy.special import gammaln, polygamma, psi, zeta
 
 from popest.distributions import (
     CountFamily,
@@ -273,10 +273,7 @@ def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):
         term_derivatives(kind, mu, phi, m)
 
 
-@pytest.mark.parametrize("kind", list(ALL_TOKENS) + ["zhang", "nb2-mixture"])
-def test_distinct_counts_give_the_same_bits(kind):
-    # Special functions of m + c evaluated once per distinct count, then
-    # gathered, must equal the per-record evaluation exactly.
+def _distinct_count_sample(kind):
     rng = np.random.default_rng(23)
     size = 500
     mu = np.exp(rng.uniform(np.log(0.05), np.log(5e4), size))
@@ -284,19 +281,59 @@ def test_distinct_counts_give_the_same_bits(kind):
     small = rng.integers(0, 30, size)
     large = rng.choice([1234, 98765, 10**7], size)
     m = (kind_support_min(kind) + np.where(rng.random(size) < 0.9, small, large)).astype(float)
+    return mu, phi, m
+
+
+def _assert_same_derivs(a, b):
+    for name in ("d_mu", "d_mumu", "d_phi", "d_phiphi", "d_muphi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("kind", list(ALL_TOKENS) + ["zhang", "nb2-mixture"])
+def test_distinct_counts_give_the_same_bits(kind):
+    # Special functions of m + c evaluated once per distinct count, then
+    # gathered, must equal the per-record evaluation exactly. Counts that
+    # give every record its own value make the kernel evaluate f(m + c)
+    # record by record.
+    mu, phi, m = _distinct_count_sample(kind)
     counts = DistinctCounts.of(m)
     assert len(counts.values) < 40
     assert np.array_equal(counts.values[counts.inverse], m)
+    per_record = DistinctCounts(values=m, inverse=np.arange(len(m)))
     fam = check_kind_args(kind, phi, m)
-    assert np.array_equal(
-        term_loglik_kernel(fam, kind, mu, phi, m, counts=counts),
-        term_loglik_kernel(fam, kind, mu, phi, m),
+    expect = term_loglik_kernel(fam, kind, mu, phi, m, counts=per_record)
+    assert np.array_equal(term_loglik_kernel(fam, kind, mu, phi, m, counts=counts), expect)
+    assert np.array_equal(term_loglik_kernel(fam, kind, mu, phi, m), expect)
+    expect = term_derivatives(kind, mu, phi, m, counts=per_record)
+    _assert_same_derivs(term_derivatives(kind, mu, phi, m, counts=counts), expect)
+    _assert_same_derivs(term_derivatives(kind, mu, phi, m), expect)
+
+
+def test_nb2_term_and_derivatives_equal_the_scipy_formulas():
+    # The nb2 term and its phi derivatives written out per record with
+    # scipy's gammaln, psi and zeta, in the kernel's order of operations.
+    mu, phi, m = _distinct_count_sample("nb2")
+    a = mu + phi
+    ll = (
+        gammaln(m + phi) - gammaln(phi) - gammaln(m + 1.0)
+        - (m + phi) * np.log1p(mu / phi) + m * (np.log(mu) - np.log(phi))
     )
-    with_counts = term_derivatives(kind, mu, phi, m, counts=counts)
-    without = term_derivatives(kind, mu, phi, m)
-    for name in ("d_mu", "d_mumu", "d_phi", "d_phiphi", "d_muphi"):
-        a, b = getattr(with_counts, name), getattr(without, name)
-        assert (a is None and b is None) or np.array_equal(a, b)
+    assert np.array_equal(term_loglik("nb2", mu, phi, m), ll)
+    t = term_derivatives("nb2", mu, phi, m)
+    d_phi = psi(m + phi) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
+    d_phiphi = zeta(2.0, m + phi) - zeta(2.0, phi) - 1.0 / a + (m - mu) / a**2 + 1.0 / phi
+    assert np.array_equal(t.d_phi, d_phi)
+    assert np.array_equal(t.d_phiphi, d_phiphi)
+
+
+@pytest.mark.parametrize("kind", ["nb2", "ztnb2", "zhang"])
+def test_an_array_phi_with_a_bad_entry_is_a_parameter_error(kind):
+    # phi's fast path is for a float; an array goes through the full check
+    # and is not compared as one truth value.
+    for f in (term_loglik, term_derivatives):
+        with pytest.raises(ParameterError, match="phi must be positive and finite"):
+            f(kind, 2.0, np.array([1.0, -1.0]), np.array([3.0, 4.0]))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

@@ -60,6 +60,14 @@ def test_plugin_requires_covariance():
         plugin_interval(f)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+def test_bootstrap_level_outside_the_unit_interval_is_rejected(level):
+    # level 1 gives an infinite plug-in bound, a level outside [0, 1] a
+    # numpy error or lower bounds above upper ones.
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        parametric_bootstrap(one_country_fit(0.1), B=2, seed=1, level=level)
+
+
 def test_percentile_constant_sample():
     assert percentile_interval([5.0, 5.0, 5.0], 0.95) == (5.0, 5.0)
 
