@@ -59,7 +59,7 @@ def _load_dataset(args) -> dataio.Dataset:
     for pad in args.pad or []:
         data = dataio.pad_empty_domain(data, _parse_pad(pad))
     data, audit = dataio.apply_model_conditions(data)
-    audit_json = json.dumps(audit.to_dict(), indent=2, sort_keys=True)
+    audit_json = audit.to_json()
     if args.audit:
         with open(args.audit, "w", encoding="utf-8") as fh:
             fh.write(audit_json + "\n")
@@ -180,16 +180,15 @@ def cmd_diagnose(args) -> int:
         raise UsageError("--top-k must be nonnegative")
     fitted = _load_and_fit(args)
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
-    _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
+    _write(report.to_json() + "\n", args.output)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["period", "country", "domain", "m", "mu_hat", "residual"])
-            for row in report.residuals:
-                period, country, domain = row["key"]
-                writer.writerow(
-                    [period, country, "|".join(domain), row["m"], row["mu_hat"], row["residual"]]
-                )
+            writer.writerows(
+                zip(report.period, report.country, map("|".join, report.domain),
+                    report.m, report.mu_hat, report.residual)
+            )
     return 0
 
 

@@ -9,8 +9,10 @@ pseudo-country, and optionally pads an empty domain with one apprehension.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,58 +53,169 @@ class StratumRecord:
         return self.m > 0 and self.n > 0 and self.n < self.N
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Records in a fixed order. The record-derived columns, keys and codes
-    below are built on first use and cached, so every fit on one Dataset
-    shares one build."""
+_LABELS = ("period", "country", "domain")
+_COUNTS = ("m", "n", "N")
 
-    records: tuple[StratumRecord, ...]
-    domain_names: tuple[str, ...] = ()
-    provenance: str = ""
+
+def _conforming(m, n, N):
+    """The model conditions m > 0, n > 0, n < N, on counts or count arrays."""
+    return (m > 0) & (n > 0) & (n < N)
+
+
+def _objects(values) -> np.ndarray:
+    """A list as a 1-d object array (tuples stay elements); arrays pass."""
+    if isinstance(values, np.ndarray):
+        return values
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _count_array(values) -> np.ndarray:
+    """int64 when every count is an int in 64-bit range, else the counts
+    themselves as objects (a float ``m``, say); arrays pass."""
+    if isinstance(values, np.ndarray):
+        return values
+    if all(type(v) is int for v in values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return _objects(values)
+
+
+class Dataset:
+    """Strata in a fixed order, stored as columns.
+
+    The one store is ``labels`` (object arrays of each record's period,
+    country and domain tuple) and ``counts`` (arrays of m, n, N: int64 when
+    every count is an integer in 64-bit range, as ``parse_csv`` guarantees,
+    else the counts themselves as objects), all read-only. ``columns``,
+    ``keys``, ``codes`` and ``nonconforming`` derive from them on first use
+    and are cached, so every fit on one Dataset shares one build.
+    ``records`` builds its StratumRecords only when read.
+    ``Dataset(records=...)`` stores the records' fields in the same columns
+    and keeps the records it was given.
+    """
+
+    def __init__(self, records, domain_names: tuple[str, ...] = (), provenance: str = ""):
+        records = tuple(records)
+        fields = [[getattr(r, k) for r in records] for k in _LABELS + _COUNTS]
+        self._store(fields[:3], fields[3:], domain_names, provenance)
+        self.__dict__["records"] = records
+
+    @classmethod
+    def _from_columns(
+        cls, labels, counts, domain_names: tuple[str, ...] = (), provenance: str = ""
+    ) -> "Dataset":
+        """``labels``: period, country and domain tuple per record, as lists
+        or object arrays; ``counts``: m, n, N, as lists or arrays
+        (``_count_array``). Arrays are kept, not copied, and made read-only."""
+        data = object.__new__(cls)
+        data._store(labels, counts, domain_names, provenance)
+        return data
+
+    def _store(self, labels, counts, domain_names, provenance) -> None:
+        labels = tuple(_objects(c) for c in labels)
+        counts = tuple(_count_array(c) for c in counts)
+        for col in labels + counts:
+            col.flags.writeable = False
+        self.__dict__.update(
+            labels=labels, counts=counts, domain_names=tuple(domain_names), provenance=provenance
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is read-only; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.labels[0])
+
+    def _rows(self, index) -> list[tuple]:
+        """The (period, country, domain, m, n, N) of each record in ``index``."""
+        return list(zip(*(col[index].tolist() for col in self.labels + self.counts)))
+
+    @cached_property
+    def records(self) -> tuple[StratumRecord, ...]:
+        return tuple(map(StratumRecord, *(col.tolist() for col in self.labels + self.counts)))
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only float arrays (m, n, N) in record order."""
-        cols = tuple(np.array([getattr(r, k) for r in self.records], dtype=float) for k in "mnN")
+        cols = tuple(col.astype(float) for col in self.counts)
         for col in cols:
             col.flags.writeable = False
         return cols
 
     @cached_property
     def keys(self) -> tuple[tuple, ...]:
-        return tuple(r.key for r in self.records)
+        return tuple(zip(*(col.tolist() for col in self.labels)))
 
     @cached_property
     def nonconforming(self) -> StratumRecord | None:
         """The first record violating the model conditions, if any."""
-        return next((r for r in self.records if not r.conforms()), None)
+        bad = np.flatnonzero(~_conforming(*self.counts))
+        return StratumRecord(*self._rows(bad[:1])[0]) if bad.size else None
 
     @cached_property
     def codes(self) -> dict:
         """{variable: (read-only code per record, {level: code})} for
         "country", each domain variable by name and the whole domain tuple
         (None), with levels in first-appearance order."""
-        values = {"country": [r.country for r in self.records],
-                  None: [r.domain for r in self.records]}
+        country, domain = (col.tolist() for col in self.labels[1:])
+        values = {"country": country, None: domain}
         for j, name in enumerate(self.domain_names):
-            values.setdefault(name, [r.domain[j] for r in self.records])
+            values.setdefault(name, list(map(itemgetter(j), domain)))
         out = {}
         for variable, column in values.items():
-            levels: dict = {}
-            codes = np.array([levels.setdefault(v, len(levels)) for v in column], dtype=np.intp)
+            levels = {v: i for i, v in enumerate(dict.fromkeys(column))}
+            codes = np.fromiter(map(levels.__getitem__, column), dtype=np.intp, count=len(column))
             codes.flags.writeable = False
             out[variable] = (codes, levels)
         return out
+
+
+JSON_SLOT = "\x00"  # a leaf of a row shape given to json_list
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads when the
+    value sits ``depth`` levels deep in an indented document."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def json_numbers(values: list) -> list[str]:
+    """Each number of ``values`` as ``json`` writes it: ``int.__repr__``,
+    ``float.__repr__``, and NaN, Infinity and -Infinity."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def json_labels(values: list, depth: int = 0) -> list[str]:
+    """Each (hashable) value as ``_json_text`` writes it at ``depth``, encoded
+    once per distinct value; strings go through ``encode_basestring_ascii``."""
+    text = {v: _json_text(v, depth) for v in dict.fromkeys(values)}
+    return list(map(text.__getitem__, values))
+
+
+def json_list(shape, columns: list[list[str]], depth: int) -> str:
+    """The text ``json.dumps(rows, indent=2, sort_keys=True)`` writes for a
+    list of rows sitting ``depth`` levels deep, without building the rows.
+
+    Every row has ``shape``: dicts and lists with ``JSON_SLOT`` at each leaf.
+    ``columns`` holds one list per slot, in the order json writes the slots
+    (dict keys sorted), of each row's value already written as ``json``
+    writes it at the slot's depth (``json_numbers``, ``json_labels``). Each row is one ``%`` of a template that ``json`` itself
+    wrote for the shape, so the bytes are json's.
+    """
+    pad = "  " * (depth + 1)
+    template = pad + _json_text(shape, depth + 1).replace("%", "%%")
+    template = template.replace(json.dumps(JSON_SLOT), "%s")
+    rows = [template % row for row in zip(*columns)]
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * depth + "]" if rows else "[]"
 
 
 @dataclass
 class AuditReport:
     """What apply_model_conditions did: merges into the pseudo-country and
     pseudo-country records dropped because they still violate the conditions.
-    Each entry is a record's fields, copied with ``dict(vars(record))``;
-    ``dataclasses.asdict`` would deep-copy each of the thousands of entries
-    of a large panel, on every load.
+    Each entry is a record's fields as a dict.
     """
 
     merged: list[dict] = field(default_factory=list)
@@ -110,6 +223,23 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with each
+        entry list written by ``json_list``."""
+        shape = dict.fromkeys(_LABELS + _COUNTS, JSON_SLOT)
+        parts = []
+        for name in ("dropped", "merged"):
+            entries = getattr(self, name)
+            columns = []
+            for key in sorted(shape):
+                values = [e[key] for e in entries]
+                if key in _COUNTS:
+                    columns.append(json_numbers(values))
+                else:
+                    columns.append(json_labels(values, 3))
+            parts.append(f'  "{name}": ' + json_list(shape, columns, 1))
+        return "{\n" + ",\n".join(parts) + "\n}"
 
     @property
     def empty(self) -> bool:
@@ -131,11 +261,39 @@ def _parse_count(raw: str, column: str, row_number: int) -> int:
     return value
 
 
+def _raise_first_error(rows: list, header: list, needed: dict, at: dict, i_domain: list) -> None:
+    """Walk ``rows`` and raise the error of the first bad one, numbered as in
+    the file (the header is row 1; blank lines are skipped, not numbered)."""
+    seen: set[tuple] = set()
+    for row_number, row in enumerate(rows, start=2):
+        try:
+            key = (
+                row[at["period"]].strip(),
+                row[at["country"]].strip(),
+                tuple([row[i].strip() for i in i_domain]),
+            )
+            for k in _COUNTS:
+                _parse_count(row[at[k]], needed[k], row_number)
+        except IndexError:
+            raise ParseError(
+                f"row {row_number}: has {len(row)} fields, the header has {len(header)}"
+            ) from None
+        if key in seen:
+            raise DuplicateKeyError(f"row {row_number}: duplicate key {key}")
+        seen.add(key)
+
+
 def parse_csv(path: str, schema: dict) -> Dataset:
-    """Read one StratumRecord per CSV row; no condition filtering.
+    """Read the CSV straight into the columns of a Dataset; no condition
+    filtering.
 
     ``schema`` maps logical names to column names: period, country, m, n, N,
-    and ``domain`` -> list of zero or more domain column names.
+    and ``domain`` -> list of zero or more domain column names. Labels are
+    stripped; counts must be integers in [0, 2**63). A repeated header name
+    reads its last column, surplus fields are ignored and blank lines are
+    skipped. The columns are checked whole (counts converted with ``int``,
+    keys checked for duplicates in one set); only when a check fails are the
+    rows walked again, to name the first bad row.
     """
     domain_cols = list(schema.get("domain", []))
     needed = {k: schema[k] for k in ("period", "country", "m", "n", "N")}
@@ -146,34 +304,30 @@ def parse_csv(path: str, schema: dict) -> Dataset:
         for logical, col in list(needed.items()) + [("domain", c) for c in domain_cols]:
             if col not in position:
                 raise SchemaError(f"missing column {col!r} (mapped to {logical})")
-        i_period, i_country, i_m, i_n, i_N = (position[needed[k]] for k in needed)
+        at = {k: position[col] for k, col in needed.items()}
         i_domain = [position[c] for c in domain_cols]
-        records: list[StratumRecord] = []
-        seen: set[tuple] = set()
-        # Blank lines are skipped and not numbered.
-        for row_number, row in enumerate(filter(None, reader), start=2):
-            try:
-                rec = StratumRecord(
-                    period=row[i_period].strip(),
-                    country=row[i_country].strip(),
-                    domain=tuple([row[i].strip() for i in i_domain]),
-                    m=_parse_count(row[i_m], needed["m"], row_number),
-                    n=_parse_count(row[i_n], needed["n"], row_number),
-                    N=_parse_count(row[i_N], needed["N"], row_number),
-                )
-            except IndexError:
-                raise ParseError(
-                    f"row {row_number}: has {len(row)} fields, the header has {len(header)}"
-                ) from None
-            key = rec.key
-            if key in seen:
-                raise DuplicateKeyError(f"row {row_number}: duplicate key {key}")
-            seen.add(key)
-            records.append(rec)
-    return Dataset(
-        records=tuple(records),
-        domain_names=tuple(domain_cols),
-        provenance=f"parsed from {path}",
+        rows: list = []
+        try:
+            rows.extend(filter(None, reader))
+        except (csv.Error, UnicodeDecodeError):  # a bad row read before it is named first
+            _raise_first_error(rows, header, needed, at, i_domain)
+            raise
+
+    def column(i: int):
+        return map(itemgetter(i), rows)
+
+    try:
+        period, country = (list(map(str.strip, column(at[k]))) for k in ("period", "country"))
+        levels = [map(str.strip, column(i)) for i in i_domain]
+        domain = list(zip(*levels)) if levels else [()] * len(rows)
+        counts = [np.fromiter(map(int, column(at[k])), np.int64, len(rows)) for k in _COUNTS]
+        if any((c < 0).any() for c in counts) or len(set(zip(period, country, domain))) < len(rows):
+            raise ValueError("a row has a negative count or a duplicate key")
+    except (IndexError, ValueError, OverflowError):
+        _raise_first_error(rows, header, needed, at, i_domain)
+        raise
+    return Dataset._from_columns(
+        (period, country, domain), counts, tuple(domain_cols), f"parsed from {path}"
     )
 
 
@@ -182,60 +336,78 @@ def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:
 
     Violating records are summed into a pseudo-country record per
     (period, domain); pseudo-country records that still violate the
-    conditions are dropped and listed in the audit report.
+    conditions are dropped and listed in the audit report. The conforming
+    records keep their order (an existing pseudo-country record absorbs its
+    pool in place), and new pseudo-country records follow in the order of
+    their first violating record.
     """
     audit = AuditReport()
-    kept: list[StratumRecord] = []
-    pools: dict[tuple, list[int]] = {}
-    for rec in data.records:
-        if rec.conforms():
-            kept.append(rec)
-            continue
-        key = (rec.period, rec.domain)
-        pool = pools.setdefault(key, [0, 0, 0])
-        pool[0] += rec.m
-        pool[1] += rec.n
-        pool[2] += rec.N
-        audit.merged.append(dict(vars(rec)))
+    bad = np.flatnonzero(~_conforming(*data.counts))
+    if not bad.size:
+        return data, audit
+    fields = _LABELS + _COUNTS
+    pools: dict[tuple, list] = {}
+    for period, country, domain, *counts in data._rows(bad):
+        audit.merged.append(dict(zip(fields, (period, country, domain, *counts))))
+        pool = pools.setdefault((period, domain), [0, 0, 0])
+        for j, v in enumerate(counts):
+            pool[j] += v
 
-    out: list[StratumRecord] = []
-    merged_into_existing: set[tuple] = set()
-    for rec in kept:
-        key = (rec.period, rec.domain)
-        if rec.country == PSEUDO_COUNTRY and key in pools:
-            pool = pools[key]
-            rec = replace(rec, m=rec.m + pool[0], n=rec.n + pool[1], N=rec.N + pool[2])
-            merged_into_existing.add(key)
-            if not rec.conforms():
-                audit.dropped.append(dict(vars(rec)))
-                continue
-        out.append(rec)
-    for key, pool in pools.items():
-        if key in merged_into_existing:
+    keep = np.ones(len(data), dtype=bool)
+    keep[bad] = False
+    period, country, domain = data.labels
+    absorbed: dict[int, tuple] = {}  # row -> its fields with the pool added
+    merged_into: set[tuple] = set()
+    for i in np.flatnonzero(keep & (country == PSEUDO_COUNTRY)).tolist():
+        pool = pools.get((period[i], domain[i]))
+        if pool is None:
             continue
-        period, domain = key
-        pseudo = StratumRecord(
-            period=period, country=PSEUDO_COUNTRY, domain=domain, m=pool[0], n=pool[1], N=pool[2]
-        )
-        if pseudo.conforms():
-            out.append(pseudo)
+        merged_into.add((period[i], domain[i]))
+        (row,) = data._rows([i])
+        row = row[:3] + tuple(a + b for a, b in zip(row[3:], pool))
+        if _conforming(*row[3:]):
+            absorbed[i] = row
         else:
-            audit.dropped.append(dict(vars(pseudo)))
+            keep[i] = False
+            audit.dropped.append(dict(zip(fields, row)))
+    added = []
+    for (p, d), pool in pools.items():
+        if (p, d) in merged_into:
+            continue
+        row = (p, PSEUDO_COUNTRY, d, *pool)
+        if _conforming(*pool):
+            added.append(row)
+        else:
+            audit.dropped.append(dict(zip(fields, row)))
 
-    return replace(data, records=tuple(out)), audit
+    index = np.flatnonzero(keep)
+    at = np.searchsorted(index, list(absorbed))  # output positions of the absorbing rows
+    new_rows = list(absorbed.values()) + added
+    columns = []
+    for j, col in enumerate(data.labels + data.counts):
+        values = [row[j] for row in new_rows]
+        new = _objects(values) if j < 3 else _count_array(values)
+        col = col[index]
+        if col.dtype != new.dtype:  # a count beyond 64 bits, or not an int
+            col, new = col.astype(object), new.astype(object)
+        col[at] = new[: len(at)]
+        columns.append(np.concatenate([col, new[len(at):]]))
+    out = Dataset._from_columns(columns[:3], columns[3:], data.domain_names, data.provenance)
+    return out, audit
 
 
 def pad_empty_domain(data: Dataset, key: tuple) -> Dataset:
     """Set m = 1 on the keyed record, which must currently have m = 0."""
     period, country, domain = key
-    domain = tuple(domain)
-    records = list(data.records)
-    for i, rec in enumerate(records):
-        if rec.key == (period, country, domain):
-            if rec.m != 0:
-                raise PaddingError(f"record {rec.key} has m={rec.m}, expected 0")
-            records[i] = replace(rec, m=1)
-            note = f"padded m=0 -> 1 at {rec.key}"
-            provenance = f"{data.provenance}; {note}" if data.provenance else note
-            return replace(data, records=tuple(records), provenance=provenance)
-    raise PaddingError(f"no record with key {(period, country, domain)}")
+    key = (period, country, tuple(domain))
+    try:
+        i = data.keys.index(key)
+    except ValueError:
+        raise PaddingError(f"no record with key {key}") from None
+    m = data.counts[0].copy()
+    if m[i] != 0:
+        raise PaddingError(f"record {key} has m={m[i]}, expected 0")
+    m[i] = 1
+    note = f"padded m=0 -> 1 at {key}"
+    provenance = f"{data.provenance}; {note}" if data.provenance else note
+    return Dataset._from_columns(data.labels, (m, *data.counts[1:]), data.domain_names, provenance)

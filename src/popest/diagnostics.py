@@ -7,33 +7,42 @@ the power-link mean, and a worst-fit report.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import JSON_SLOT, Dataset, json_labels, json_list, json_numbers
 from .mle import FittedModel, linearized_ols
 
 _KAPPA_POISSON = 1e-8
 
 
-def anscombe_residual(m: float, mu_hat: float, phi_hat: float | None) -> float:
-    """NB2 Anscombe residual; phi_hat=None (or huge) takes the Poisson limit."""
-    if not 0.0 < mu_hat < np.inf:
+def _kappa(mu_hat, phi_hat: float | None) -> float:
+    """1/phi_hat (0 for the Poisson limit) after checking mu_hat (a float or
+    an array) and phi_hat."""
+    if not np.all((mu_hat > 0.0) & (mu_hat < np.inf)):
         raise ValueError("mu_hat must be positive and finite")
     if phi_hat is not None and not 0.0 < phi_hat < np.inf:
         raise ValueError("phi_hat must be positive and finite")
-    kappa = 0.0 if phi_hat is None else 1.0 / float(phi_hat)
+    return 0.0 if phi_hat is None else 1.0 / float(phi_hat)
+
+
+def _anscombe(m, mu_hat: float, kappa: float) -> float:
+    """NB2 Anscombe residual at kappa = 1/phi, unchecked; kappa below
+    _KAPPA_POISSON takes the kappa -> 0 (Poisson) limit."""
     if kappa < _KAPPA_POISSON:
-        # kappa -> 0 limit of the NB2 formula
         numer = 2.0 * (m - mu_hat) + 3.0 * (m ** (2.0 / 3.0) - mu_hat ** (2.0 / 3.0))
-        denom = 2.0 * mu_hat ** (1.0 / 6.0)
-        return float(numer / denom)
+        return numer / (2.0 * mu_hat ** (1.0 / 6.0))
     numer = (3.0 / kappa) * (
         (1.0 + kappa * m) ** (2.0 / 3.0) - (1.0 + kappa * mu_hat) ** (2.0 / 3.0)
     ) + 3.0 * (m ** (2.0 / 3.0) - mu_hat ** (2.0 / 3.0))
-    denom = 2.0 * (mu_hat + kappa * mu_hat**2) ** (1.0 / 6.0)
-    return float(numer / denom)
+    return numer / (2.0 * (mu_hat + kappa * mu_hat**2) ** (1.0 / 6.0))
+
+
+def anscombe_residual(m: float, mu_hat: float, phi_hat: float | None) -> float:
+    """NB2 Anscombe residual; phi_hat=None (or huge) takes the Poisson limit."""
+    return float(_anscombe(m, mu_hat, _kappa(mu_hat, phi_hat)))
 
 
 def _is_constant(x: np.ndarray) -> bool:
@@ -109,9 +118,31 @@ def linearized_check(data: Dataset) -> LinearizedCheck:
 
 @dataclass
 class DiagnosticsReport:
-    residuals: list[dict]
+    """Per record, in the fit's record order, its key (period, country,
+    domain), count, fitted mean and Anscombe residual, as columns; the worst
+    fits and the linearized check."""
+
+    period: list
+    country: list
+    domain: list[tuple]
+    m: list
+    mu_hat: list[float]
+    residual: list[float]
     worst_fit: list[dict]
     linearized: LinearizedCheck
+
+    def row(self, i: int) -> dict:
+        return {
+            "key": [self.period[i], self.country[i], list(self.domain[i])],
+            "m": self.m[i],
+            "mu_hat": self.mu_hat[i],
+            "residual": self.residual[i],
+        }
+
+    @property
+    def residuals(self) -> list[dict]:
+        """One {"key", "m", "mu_hat", "residual"} dict per record."""
+        return [self.row(i) for i in range(len(self.m))]
 
     def to_dict(self) -> dict:
         return {
@@ -120,27 +151,51 @@ class DiagnosticsReport:
             "linearized": self.linearized.to_dict(),
         }
 
+    def to_json(self) -> str:
+        """Exactly ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``.
+
+        The residual list is written by ``dataio.json_list`` from one template
+        per row instead of by json's pure-Python indenting encoder, and
+        spliced into the dump of the rest of the report.
+        """
+        rest = {"residuals": None, "worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
+        text = json.dumps(rest, indent=2, sort_keys=True)
+        shape = {"key": [JSON_SLOT] * 3, "m": JSON_SLOT, "mu_hat": JSON_SLOT, "residual": JSON_SLOT}
+        columns = [
+            json_labels(self.period),
+            json_labels(self.country),
+            json_labels(self.domain, 4),
+            json_numbers(self.m),
+            json_numbers(self.mu_hat),
+            json_numbers(self.residual),
+        ]
+        # "residuals" is a top-level key, so its line is the only one indented by two spaces
+        return text.replace('\n  "residuals": null', '\n  "residuals": ' + json_list(shape, columns, 1), 1)
+
 
 def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:
-    """Residuals, top-k worst fits by |m - mu_hat|, and the linearized check."""
+    """Residuals, top-k worst fits by |m - mu_hat|, and the linearized check.
+
+    mu_hat and phi are checked once per report; each residual is then the
+    scalar formula that ``anscombe_residual`` evaluates, so both give the
+    same bits. ``to_json`` writes the report byte for byte as
+    ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``.
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     md = fit.data
-    mu_hat = md.mu_values(fit.params)
-    phi = fit.params.phi
-    residuals = [
-        {
-            "key": [rec.period, rec.country, list(rec.domain)],
-            "m": rec.m,
-            "mu_hat": mh,
-            "residual": anscombe_residual(rec.m, mh, phi),
-        }
-        for rec, mh in zip(fit.dataset.records, mu_hat.tolist())
-    ]
-    order = np.argsort(-np.abs(md.m - mu_hat), kind="stable")
-    worst = [residuals[i] | {"delta": float(md.m[i] - mu_hat[i])} for i in order[:k]]
-    return DiagnosticsReport(
-        residuals=residuals,
-        worst_fit=worst,
+    mu = md.mu_values(fit.params)
+    kappa = _kappa(mu, fit.params.phi)
+    m = fit.dataset.counts[0].tolist()
+    mu_hat = mu.tolist()
+    report = DiagnosticsReport(
+        *(col.tolist() for col in fit.dataset.labels),
+        m=m,
+        mu_hat=mu_hat,
+        residual=[_anscombe(mi, mh, kappa) for mi, mh in zip(m, mu_hat)],
+        worst_fit=[],
         linearized=linearized_check(fit.dataset),
     )
+    order = np.argsort(-np.abs(md.m - mu), kind="stable")
+    report.worst_fit = [report.row(i) | {"delta": float(md.m[i] - mu[i])} for i in order[:k]]
+    return report

@@ -10,6 +10,7 @@ and the chain rule through mu gives every derivative from the per-record
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -126,7 +127,7 @@ def build_design(
     data: Dataset, design: DesignSpec
 ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Indicator matrices X (alpha terms) and Z (beta terms), intercept first."""
-    n = len(data.records)
+    n = len(data)
     X = np.empty((n, len(design.alpha_covariates)))
     Z = np.empty((n, len(design.beta_covariates)))
     for mat, terms in ((X, design.alpha_covariates), (Z, design.beta_covariates)):
@@ -143,6 +144,14 @@ def build_design(
     return X, Z, list(data.keys)
 
 
+def _read_only(arr) -> np.ndarray:
+    """``arr`` as a read-only array: a copy if it was writable, else a view."""
+    arr = np.asarray(arr)
+    arr = arr.copy() if arr.flags.writeable else arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ModelData:
     """Arrays the likelihood evaluates over, in fixed record order.
@@ -151,7 +160,8 @@ class ModelData:
     no later write, through ``md`` or to the caller's array, can leave the
     stacked covariates or the distinct counts built here stale. Read-only
     inputs are shared: a replicate on the same strata is
-    ``dataclasses.replace(md, m=...)`` and copies only its ``m``.
+    ``md.with_counts(m)``, which also shares ``W``
+    (``dataclasses.replace(md, m=...)`` works too, and rebuilds ``W``).
     """
 
     m: np.ndarray
@@ -165,14 +175,20 @@ class ModelData:
 
     def __post_init__(self):
         for name in ("m", "log_N", "log_ratio", "X", "Z"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy() if arr.flags.writeable else arr.view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         W = np.hstack([self.X * self.log_N[:, None], self.Z * self.log_ratio[:, None]])
         W.flags.writeable = False
         object.__setattr__(self, "_W", W)
         object.__setattr__(self, "distinct", DistinctCounts.of(self.m))
+
+    def with_counts(self, m) -> "ModelData":
+        """The same strata with counts ``m``: shares every array of ``self``,
+        ``W`` included, and builds only its own ``m`` and distinct counts."""
+        out = copy.copy(self)
+        m = _read_only(m)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "distinct", DistinctCounts.of(m))
+        return out
 
     @property
     def n_obs(self) -> int:

@@ -86,8 +86,8 @@ def linearized_start(m, log_N, log_ratio) -> tuple[float, float, float]:
 def linearized_init(data: Dataset) -> tuple[float, float, float]:
     """Starting values (alpha0, beta0, phi0) from the records of ``data``; see
     ``linearized_start``."""
-    if len(data.records) < 3:
-        raise InitError(f"need at least 3 records, got {len(data.records)}")
+    if len(data) < 3:
+        raise InitError(f"need at least 3 records, got {len(data)}")
     m, n, N = data.columns
     log_N = np.log(N)
     return linearized_start(m, log_N, np.log(n) - log_N)

@@ -8,7 +8,7 @@ interval over order-statistic windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -22,8 +22,17 @@ class IntervalError(ValueError):
     """Missing covariance or too few samples to form an interval."""
 
 
+def _check_level(level: float, whole_sample: bool = False) -> None:
+    """A level lies strictly between 0 and 1; an interval over samples also
+    takes level 1, the whole sample."""
+    if not (0.0 < level < 1.0 or whole_sample and level == 1.0):
+        also = " or be 1" if whole_sample else ""
+        raise ValueError(f"level must lie strictly between 0 and 1{also}, got {level}")
+
+
 def plugin_interval(fit: FittedModel, level: float = 0.95) -> tuple[float, float]:
     """Wald bounds on each alpha coefficient, pushed through xi."""
+    _check_level(level)
     if fit.covariance is None:
         raise IntervalError("fit has no covariance; plug-in interval unavailable")
     n_alpha = len(fit.params.alpha)
@@ -39,6 +48,7 @@ def plugin_interval(fit: FittedModel, level: float = 0.95) -> tuple[float, float
 
 def percentile_interval(samples, level: float) -> tuple[float, float]:
     """Empirical quantiles with the linear-interpolation rule h = (n-1)p + 1."""
+    _check_level(level, whole_sample=True)
     x = np.asarray(samples, dtype=float)
     x = x[np.isfinite(x)]
     if len(x) < 2:
@@ -53,6 +63,7 @@ def spin_interval(samples, level: float) -> tuple[float, float]:
 
     Ties break toward the window with the smaller lower endpoint.
     """
+    _check_level(level, whole_sample=True)
     x = np.sort(np.asarray(samples, dtype=float))
     x = x[np.isfinite(x)]
     n = len(x)
@@ -133,7 +144,7 @@ def _replicate(
     xi_star = xi_from_alpha(md, params_star.alpha)
     mu_star = md.mu_values(params_star)
     m_star = sample_many(fit.model.family, mu_star, params_star.phi, rng)
-    md_star = replace(md, m=m_star.astype(float))
+    md_star = md.with_counts(m_star.astype(float))
     kind = fit.model.family.token
     try:
         params_hat, _, _, conv = fit_kind(md_star, kind, fit.params, FitOptions())
@@ -165,8 +176,7 @@ def parametric_bootstrap(
         raise IntervalError("fit has no covariance; bootstrap disabled")
     if B < 1:
         raise ValueError("B must be positive")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _check_level(level)
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
     results = [_replicate(b, seed, fit, root) for b in range(B)]
 

@@ -1,10 +1,15 @@
 """Anscombe residuals, linearized-relationship checks, worst-fit report."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popest.dataio import Dataset, StratumRecord
 from popest.diagnostics import (
+    DiagnosticsReport,
+    LinearizedCheck,
     _linearized_stats,
     anscombe_residual,
     diagnostics_report,
@@ -203,3 +208,54 @@ def test_report_serializes(tmp_path):
     parsed = json.loads(text)
     assert len(parsed["worst_fit"]) == 2
     assert "linearized" in parsed
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, float("nan"), float("inf")]),
+)
+LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(LABELS, LABELS, st.lists(LABELS, max_size=3).map(tuple),
+                  st.one_of(st.integers(0, 2**63), JSON_FLOATS), JSON_FLOATS, JSON_FLOATS),
+        max_size=5,
+    ),
+    notes=st.lists(LABELS, max_size=2),
+)
+def test_report_json_equals_json_dumps(rows, notes):
+    # Labels with quotes, backslashes, commas, non-ASCII and control
+    # characters; 0-3 domain levels; every kind of float.
+    lin = LinearizedCheck(0.5, -0.25, float("nan"), 1e300, False, {"F": {"x": -0.0}}, notes)
+    report = DiagnosticsReport(
+        *([r[j] for r in rows] for j in range(6)),
+        worst_fit=[{"key": ["a", "\\", []], "delta": 5e-324}],
+        linearized=lin,
+    )
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def test_report_residuals_equal_the_public_per_value_function():
+    for phi in (2.5, 1e9):  # the NB2 formula and the Poisson limit
+        fitted = manual_fit(synth_dataset(4, 60), "ztnb2", alpha=0.7, phi=phi)
+        report = diagnostics_report(fitted, k=3)
+        mu = fitted.data.mu_values(fitted.params)
+        assert report.residual == [
+            anscombe_residual(r.m, float(v), phi) for r, v in zip(fitted.dataset.records, mu)
+        ]
+        assert report.m == [r.m for r in fitted.dataset.records]
+        keys = zip(report.period, report.country, report.domain)
+        assert list(keys) == [r.key for r in fitted.dataset.records]
+        assert [row["residual"] for row in report.residuals] == report.residual
+
+
+def test_report_checks_mu_and_phi_once():
+    fitted = manual_fit(synth_dataset(4, 20), "ztnb2", alpha=0.7, phi=-1.0)
+    with pytest.raises(ValueError, match="phi_hat must be positive and finite"):
+        diagnostics_report(fitted)
+    fitted = manual_fit(synth_dataset(4, 20), "ztnb2", alpha=-1e4, phi=2.0)  # mu underflows to 0
+    with pytest.raises(ValueError, match="mu_hat must be positive and finite"):
+        diagnostics_report(fitted)

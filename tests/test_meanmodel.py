@@ -116,6 +116,23 @@ def test_replace_carries_the_distinct_counts_of_its_own_m():
     assert loglik_kind(star, "ztnb2", params) == expect
 
 
+def test_with_counts_shares_w_and_matches_replace():
+    records = [rec(m=3), rec("Georgia", m=7, n=30, N=300), rec("Belarus", m=3, n=9, N=90)]
+    md = prepare(dataset(*records), DesignSpec())
+    m = np.array([5.0, 5.0, 2.0])
+    star = md.with_counts(m)
+    assert star.W is md.W and star.X is md.X and star.index is md.index
+    m[0] = 9.0  # a writable input is copied
+    assert star.m.tolist() == [5.0, 5.0, 2.0] and not star.m.flags.writeable
+    assert md.m.tolist() == [3.0, 7.0, 3.0]
+    assert star.distinct.values.tolist() == [2.0, 5.0]
+    ref = replace(md, m=np.array([5.0, 5.0, 2.0]))
+    params = ParamVector(np.array([0.5]), np.array([0.4]), phi=1.5)
+    assert loglik_kind(star, "ztnb2", params) == loglik_kind(ref, "ztnb2", params)
+    with pytest.raises(FrozenInstanceError):
+        star.m = m
+
+
 def test_model_data_cannot_be_changed():
     md = ModelData(
         m=np.array([3.0, 7.0]), log_N=np.log([100.0, 300.0]), log_ratio=np.log([0.1, 0.1]),

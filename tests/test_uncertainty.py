@@ -68,6 +68,24 @@ def test_bootstrap_level_outside_the_unit_interval_is_rejected(level):
         parametric_bootstrap(one_country_fit(0.1), B=2, seed=1, level=level)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_plugin_level_outside_the_unit_interval_is_rejected(level):
+    # level 1 gives an infinite bound
+    with pytest.raises(ValueError, match="strictly between 0 and 1, got"):
+        plugin_interval(one_country_fit(0.1), level)
+
+
+@pytest.mark.parametrize("interval", [percentile_interval, spin_interval])
+@pytest.mark.parametrize("level", [0.0, 1.5, -0.2, float("nan")])
+def test_sample_interval_level_outside_the_unit_interval_is_rejected(interval, level):
+    # level -0.2 gave a percentile lower bound above the upper one, and a
+    # SPIN interval (0, 0); level 1, the whole sample, stays allowed.
+    x = np.arange(20.0)
+    with pytest.raises(ValueError, match="strictly between 0 and 1 or be 1, got"):
+        interval(x, level)
+    assert interval(x, 1.0) == (0.0, 19.0)
+
+
 def test_percentile_constant_sample():
     assert percentile_interval([5.0, 5.0, 5.0], 0.95) == (5.0, 5.0)
 
