@@ -7,9 +7,6 @@ Exit codes: 0 success, 1 model/numerical failure, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import dataio, diagnostics, mle, simulation, uncertainty
@@ -31,7 +28,7 @@ def _parse_schema(text: str) -> dict:
         key, value = part.split("=", 1)
         key = key.strip()
         if key == "domain":
-            schema["domain"] = [c for c in value.split("+") if c]
+            schema["domain"] = [c.strip() for c in value.split("+") if c.strip()]
         elif key in ("period", "country", "m", "n", "N"):
             schema[key] = value.strip()
         else:
@@ -45,12 +42,9 @@ def _parse_schema(text: str) -> dict:
 def _parse_pad(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(
-            f"bad --pad value {text!r}; expected period:country:dom1,dom2"
-        )
-    period, country, domain = parts
-    levels = tuple(d for d in domain.split(",") if d) if domain else ()
-    return (period, country, levels)
+        raise UsageError(f"bad --pad value {text!r}; expected period:country:dom1,dom2")
+    period, country, domain = (p.strip() for p in parts)
+    return (period, country, tuple(d.strip() for d in domain.split(",") if d.strip()))
 
 
 def _load_dataset(args) -> dataio.Dataset:
@@ -59,12 +53,10 @@ def _load_dataset(args) -> dataio.Dataset:
     for pad in args.pad or []:
         data = dataio.pad_empty_domain(data, _parse_pad(pad))
     data, audit = dataio.apply_model_conditions(data)
-    audit_json = audit.to_json()
     if args.audit:
-        with open(args.audit, "w", encoding="utf-8") as fh:
-            fh.write(audit_json + "\n")
+        _write(audit.to_json() + "\n", args.audit)
     elif not audit.empty:
-        print(audit_json, file=sys.stderr)
+        print(audit.to_json(), file=sys.stderr)
     return data
 
 
@@ -81,11 +73,12 @@ def _load_and_fit(args) -> mle.FittedModel:
 
 
 def _write(text: str, path: str | None) -> None:
+    """Write a report, which ends in a newline, to ``path`` or stdout."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.write(text)
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -112,7 +105,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 def cmd_fit(args) -> int:
     fitted = _load_and_fit(args)
-    _write(json.dumps(fitted.to_dict(), indent=2, sort_keys=True) + "\n", args.output)
+    _write(dataio.dumps(fitted.to_dict()) + "\n", args.output)
     if not fitted.convergence.converged and not args.allow_nonconverged:
         print("fit did not converge", file=sys.stderr)
         return 1
@@ -140,12 +133,10 @@ def cmd_compare(args) -> int:
                 status = f"failed: {exc}"
             rows.append((dist, label, *numbers, status))
     rows.sort(key=lambda r: r[4])  # by bic
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"])
-    for dist, label, *numbers, status in rows:
-        writer.writerow([dist, label, *(f"{v:.4f}" for v in numbers), status])
-    _write(out.getvalue(), args.output)
+    header = ["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"]
+    rows = [(dist, label, *(f"{v:.4f}" for v in numbers), status)
+            for dist, label, *numbers, status in rows]
+    _write(dataio.csv_text(header, rows), args.output)
     return 0
 
 
@@ -163,15 +154,11 @@ def cmd_boot(args) -> int:
     result = uncertainty.parametric_bootstrap(
         fitted, B=args.B, seed=args.seed, level=args.quantile_level
     )
-    report = result.to_dict()
-    report["xi_hat"] = fitted.xi_hat
+    report = result.to_dict() | {"xi_hat": fitted.xi_hat}
     if args.draws_path:
-        with open(args.draws_path, "w", encoding="utf-8") as fh:
-            fh.write("xi_star,xi_hat_star\n")
-            for xs, xh in result.draws:
-                fh.write(f"{xs!r},{xh!r}\n")
+        _write(dataio.csv_text(["xi_star", "xi_hat_star"], result.draws), args.draws_path)
         report["draws_path"] = args.draws_path
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+    _write(dataio.dumps(report) + "\n", args.output)
     return 0
 
 
@@ -182,13 +169,10 @@ def cmd_diagnose(args) -> int:
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
     _write(report.to_json() + "\n", args.output)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["period", "country", "domain", "m", "mu_hat", "residual"])
-            writer.writerows(
-                zip(report.period, report.country, map("|".join, report.domain),
-                    report.m, report.mu_hat, report.residual)
-            )
+        header = ["period", "country", "domain", "m", "mu_hat", "residual"]
+        rows = zip(report.period, report.country, map("|".join, report.domain),
+                   report.m, report.mu_hat, report.residual)
+        _write(dataio.csv_text(header, rows), args.csv)
     return 0
 
 

@@ -4,11 +4,13 @@ Reads CSV files with per-stratum counts (m apprehended once, n in the police
 register, N registered population), enforces the model's data conditions
 (m > 0, n > 0, n/N < 1), aggregates nonconforming strata into a
 pseudo-country, and optionally pads an empty domain with one apprehension.
+Every JSON report is written by ``dumps`` and every CSV report by ``csv_text``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +52,7 @@ class StratumRecord:
         return (self.period, self.country, self.domain)
 
     def conforms(self) -> bool:
-        return self.m > 0 and self.n > 0 and self.n < self.N
+        return _conforming(self.m, self.n, self.N)
 
 
 _LABELS = ("period", "country", "domain")
@@ -172,43 +174,66 @@ class Dataset:
         return out
 
 
-JSON_SLOT = "\x00"  # a leaf of a row shape given to json_list
-
-
 def _json_text(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` as it reads when the
     value sits ``depth`` levels deep in an indented document."""
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
-def json_numbers(values: list) -> list[str]:
-    """Each number of ``values`` as ``json`` writes it: ``int.__repr__``,
-    ``float.__repr__``, and NaN, Infinity and -Infinity."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-def json_labels(values: list, depth: int = 0) -> list[str]:
-    """Each (hashable) value as ``_json_text`` writes it at ``depth``, encoded
-    once per distinct value; strings go through ``encode_basestring_ascii``."""
+def _json_values(values: list, depth: int) -> list[str]:
+    """Each value as ``_json_text`` writes it at ``depth``: an int/float
+    column in one C-encoder call, any other column once per distinct value
+    (so equal values must print alike, as strings and their tuples do)."""
+    if set(map(type, values)) <= {int, float}:
+        return json.dumps(values)[1:-1].split(", ") if values else []
     text = {v: _json_text(v, depth) for v in dict.fromkeys(values)}
     return list(map(text.__getitem__, values))
 
 
-def json_list(shape, columns: list[list[str]], depth: int) -> str:
-    """The text ``json.dumps(rows, indent=2, sort_keys=True)`` writes for a
-    list of rows sitting ``depth`` levels deep, without building the rows.
+def _json_rows(shape, columns) -> str:
+    """The text json writes at a top-level key for a list of rows, each row
+    ``shape`` with its leaves (names of ``columns``) replaced by the row's
+    values: one ``%`` per row of a template json wrote for the shape, with
+    its slots in json's order (dict keys sorted) and each value at its depth."""
+    leaves = []
 
-    Every row has ``shape``: dicts and lists with ``JSON_SLOT`` at each leaf.
-    ``columns`` holds one list per slot, in the order json writes the slots
-    (dict keys sorted), of each row's value already written as ``json``
-    writes it at the slot's depth (``json_numbers``, ``json_labels``). Each row is one ``%`` of a template that ``json`` itself
-    wrote for the shape, so the bytes are json's.
-    """
-    pad = "  " * (depth + 1)
-    template = pad + _json_text(shape, depth + 1).replace("%", "%%")
-    template = template.replace(json.dumps(JSON_SLOT), "%s")
-    rows = [template % row for row in zip(*columns)]
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * depth + "]" if rows else "[]"
+    def slotted(node, depth):  # a row sits 2 levels deep
+        if isinstance(node, dict):
+            return {k: slotted(node[k], depth + 1) for k in sorted(node)}
+        if isinstance(node, (list, tuple)):
+            return [slotted(v, depth + 1) for v in node]
+        leaves.append(_json_values(columns[node], depth))
+        return "\x00"
+
+    template = "    " + _json_text(slotted(shape, 2), 2).replace("%", "%%")
+    template = template.replace(json.dumps("\x00"), "%s")
+    rows = [template % row for row in zip(*leaves)]
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def dumps(report: dict, tables: dict | None = None) -> str:
+    """``json.dumps(report | rows, indent=2, sort_keys=True)`` without building
+    the rows: ``tables`` maps a top-level key to ``(shape, columns)``, and its
+    rows are ``shape`` (dicts and lists) with each leaf, a name of
+    ``columns``, replaced by the row's value in that column."""
+    tables = tables or {}
+    text = _json_text(report | dict.fromkeys(tables))
+    for key, (shape, columns) in tables.items():
+        # only a top-level key's line opens with two spaces and a quote (json escapes newlines)
+        line = f"\n  {json.dumps(key)}: "
+        text = text.replace(line + "null", line + _json_rows(shape, columns), 1)
+    return text
+
+
+def csv_text(header: list, rows) -> str:
+    """The CSV text of ``header`` and ``rows``: ``csv.writer`` with Unix line
+    ends, quoting a field only when it holds a comma, a double quote or a
+    line break."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -225,21 +250,12 @@ class AuditReport:
         return dict(vars(self))
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with each
-        entry list written by ``json_list``."""
-        shape = dict.fromkeys(_LABELS + _COUNTS, JSON_SLOT)
-        parts = []
-        for name in ("dropped", "merged"):
-            entries = getattr(self, name)
-            columns = []
-            for key in sorted(shape):
-                values = [e[key] for e in entries]
-                if key in _COUNTS:
-                    columns.append(json_numbers(values))
-                else:
-                    columns.append(json_labels(values, 3))
-            parts.append(f'  "{name}": ' + json_list(shape, columns, 1))
-        return "{\n" + ",\n".join(parts) + "\n}"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``."""
+        shape = {k: k for k in _LABELS + _COUNTS}
+        return dumps({}, {
+            name: (shape, {k: [e[k] for e in entries] for k in shape})
+            for name, entries in vars(self).items()
+        })
 
     @property
     def empty(self) -> bool:

@@ -7,12 +7,11 @@ the power-link mean, and a worst-fit report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataio import JSON_SLOT, Dataset, json_labels, json_list, json_numbers
+from .dataio import Dataset, dumps
 from .mle import FittedModel, linearized_ols
 
 _KAPPA_POISSON = 1e-8
@@ -152,25 +151,11 @@ class DiagnosticsReport:
         }
 
     def to_json(self) -> str:
-        """Exactly ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``.
-
-        The residual list is written by ``dataio.json_list`` from one template
-        per row instead of by json's pure-Python indenting encoder, and
-        spliced into the dump of the rest of the report.
-        """
-        rest = {"residuals": None, "worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
-        text = json.dumps(rest, indent=2, sort_keys=True)
-        shape = {"key": [JSON_SLOT] * 3, "m": JSON_SLOT, "mu_hat": JSON_SLOT, "residual": JSON_SLOT}
-        columns = [
-            json_labels(self.period),
-            json_labels(self.country),
-            json_labels(self.domain, 4),
-            json_numbers(self.m),
-            json_numbers(self.mu_hat),
-            json_numbers(self.residual),
-        ]
-        # "residuals" is a top-level key, so its line is the only one indented by two spaces
-        return text.replace('\n  "residuals": null', '\n  "residuals": ' + json_list(shape, columns, 1), 1)
+        """``to_dict()`` written by ``dataio.dumps``, the residual rows from the columns."""
+        rest = {"worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
+        row = {"key": ["period", "country", "domain"], "m": "m", "mu_hat": "mu_hat",
+               "residual": "residual"}
+        return dumps(rest, {"residuals": (row, vars(self))})
 
 
 def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:
@@ -178,8 +163,8 @@ def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:
 
     mu_hat and phi are checked once per report; each residual is then the
     scalar formula that ``anscombe_residual`` evaluates, so both give the
-    same bits. ``to_json`` writes the report byte for byte as
-    ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``.
+    same bits. ``to_json`` writes ``report.to_dict()`` byte for byte as
+    ``json`` writes it indented.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")

@@ -48,7 +48,7 @@ class Term:
         return f"{self.variable}:{self.level}"
 
     @staticmethod
-    def parse(token: str, domain_names: tuple[str, ...] = ()) -> "Term":
+    def parse(token: str) -> "Term":
         token = token.strip()
         if token == "intercept":
             return Term("intercept")
@@ -160,8 +160,7 @@ class ModelData:
     no later write, through ``md`` or to the caller's array, can leave the
     stacked covariates or the distinct counts built here stale. Read-only
     inputs are shared: a replicate on the same strata is
-    ``md.with_counts(m)``, which also shares ``W``
-    (``dataclasses.replace(md, m=...)`` works too, and rebuilds ``W``).
+    ``md.with_counts(m)``, which also shares ``W``.
     """
 
     m: np.ndarray

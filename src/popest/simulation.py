@@ -10,11 +10,11 @@ closed form, and the zero-truncated NB2.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import csv_text
 from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData, ParamVector
 from .mle import FIT_ERRORS, FitOptions, fit_kind, linearized_start
@@ -56,16 +56,10 @@ class SimulationReport:
     failures: dict[str, int]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("variant,parameter,rb_percent,rrmse_percent,failures\n")
-        for variant in self.design.variants:
-            for parameter in PARAMETERS:
-                cell = self.metrics[variant][parameter]
-                buf.write(
-                    f"{variant},{parameter},{cell['rb_percent']:.6f},"
-                    f"{cell['rrmse_percent']:.6f},{self.failures[variant]}\n"
-                )
-        return buf.getvalue()
+        cells = ("rb_percent", "rrmse_percent")
+        rows = [(v, p, *(f"{self.metrics[v][p][c]:.6f}" for c in cells), self.failures[v])
+                for v in self.design.variants for p in PARAMETERS]
+        return csv_text(["variant", "parameter", *cells, "failures"], rows)
 
 
 def synthetic_population(count: int, seed: int) -> list[tuple[int, int]]:

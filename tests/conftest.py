@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic datasets, hand-built fits, finite-difference
-helpers."""
+helpers, refits made to fail."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -117,3 +119,22 @@ def fd_jacobian(g, theta, h=1e-5):
         dn[j] -= hj
         J[:, j] = (np.asarray(g(up)) - np.asarray(g(dn))) / (2.0 * hj)
     return J
+
+
+def fail_refits(monkeypatch, module, fails):
+    """Make ``module.fit_kind`` fail on the calls ``fails`` picks, by
+    ``fails(kind, i)`` for the i-th call of each kind: "raise" raises a
+    RuntimeError, "stall" returns the real fit marked as stalled."""
+    real, calls = module.fit_kind, {}
+
+    def fit_kind(md, kind, start, options):
+        i = calls[kind] = calls.get(kind, -1) + 1
+        how = fails(kind, i)
+        if how == "raise":
+            raise RuntimeError("refit failed")
+        params, loglik, cov, conv = real(md, kind, start, options)
+        if how == "stall":
+            conv = dataclasses.replace(conv, status="stalled")
+        return params, loglik, cov, conv
+
+    monkeypatch.setattr(module, "fit_kind", fit_kind)

@@ -13,7 +13,7 @@ import pytest
 
 import popest
 from popest import mle
-from popest.cli import main
+from popest.cli import _parse_pad, _parse_schema, main
 
 from conftest import synth_records
 
@@ -300,6 +300,20 @@ def test_pad_flag_flows_through(tmp_path, capsys):
     ]
     assert len(padded) == 1
     assert padded[0]["m"] == 1
+
+
+def test_schema_and_pad_labels_are_stripped(tmp_path, capsys):
+    schema = " period = period ,country=country,domain= sex + age ,m=m,n=n,N=N"
+    assert _parse_schema(schema)["domain"] == ["sex", "age"]
+    assert _parse_pad(" Q1 : other :F , 60+ ") == ("Q1", "other", ("F", "60+"))
+    path = write_csv(tmp_path / "pad.csv", synth_records(11, 20))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("Q1,other,F,60+,0,52,1286\n")
+    argv = ["diagnose", "--data", path, "--schema", schema, "--dist", "ztnb2",
+            "--pad", " Q1 : other :F , 60+ "]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["residuals"]
+    assert [r["m"] for r in rows if r["key"] == ["Q1", "other", ["F", "60+"]]] == [1]
 
 
 def test_audit_file_written(tmp_path):

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popest.dataio import (
     PSEUDO_COUNTRY,
@@ -18,8 +18,7 @@ from popest.dataio import (
     SchemaError,
     StratumRecord,
     apply_model_conditions,
-    json_list,
-    json_numbers,
+    dumps,
     pad_empty_domain,
     parse_csv,
 )
@@ -498,13 +497,37 @@ def test_audit_writer_equals_json_dumps(entries, split):
     assert audit.to_json() == json.dumps(audit.to_dict(), indent=2, sort_keys=True)
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.one_of(JSON_FLOATS, st.integers(-(2**80), 2**80)), max_size=6))
-def test_json_numbers_and_json_list_write_what_json_writes(values):
-    assert json_numbers(values) == [json.dumps(v) for v in values]
-    shape = {"b": ["\x00", "\x00"], "a%s": "\x00"}  # slots in sorted-key order: a%s, b[0], b[1]
-    cols = [json_numbers(values)] * 3
-    rows = [{"a%s": v, "b": [v, v]} for v in values]
-    for depth in (0, 1, 3):
-        doc = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-        assert json_list(shape, cols, depth) == doc
+JSON_LABELS = st.lists(
+    st.one_of(st.sampled_from(["%", "%s", ", ", "\x00", "\n"]), LABEL_CHARS), max_size=4
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    report=st.dictionaries(
+        st.sampled_from(["a", "t", "z", "\n  \"t\": null"]),
+        st.one_of(st.none(), JSON_FLOATS, JSON_LABELS, st.lists(JSON_LABELS, max_size=2)),
+        max_size=3,
+    ),
+    rows=st.lists(
+        st.tuples(
+            st.one_of(JSON_FLOATS, st.integers(-(2**80), 2**80)),
+            JSON_LABELS,
+            st.lists(JSON_LABELS, max_size=3).map(tuple),
+        ),
+        max_size=4,
+    ),
+)
+@example(report={}, rows=[])
+def test_dumps_writes_what_json_dumps_writes(report, rows):
+    # numbers of every kind, labels holding "%" or ", ", tuples, empty tables;
+    # key "a%s" sorts first, so the slot order differs from the shape's
+    shape = {"b": ["x", "y"], "a%s": "n", "c": {"z": "x"}}
+    columns = dict(zip("nxy", map(list, zip(*rows)))) if rows else dict.fromkeys("nxy", [])
+    tables = {"t": (shape, columns), "u": ("n", columns)}
+    full = {
+        "t": [{"b": [x, y], "a%s": n, "c": {"z": x}} for n, x, y in rows],
+        "u": [n for n, _, _ in rows],
+    }
+    assert dumps(report, tables) == json.dumps(report | full, indent=2, sort_keys=True)
+    assert dumps(report) == json.dumps(report, indent=2, sort_keys=True)

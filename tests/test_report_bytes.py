@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from popest import cli, dataio, diagnostics, mle
+from popest import cli, dataio, diagnostics, mle, simulation, uncertainty
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -94,3 +94,34 @@ def test_compare_table_is_csv_writer(panel, tmp_path):
     header = ["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"]
     table = [header] + [[*r[:2], *(f"{v:.4f}" for v in r[2:6]), r[6]] for r in rows]
     assert out.read_text(encoding="utf-8") == written(table)
+
+
+def test_boot_report_and_draws_are_json_dumps_and_csv_writer(panel, tmp_path):
+    path, schema, data, _ = panel
+    out, draws = tmp_path / "boot.json", tmp_path / "draws.csv"
+    argv = ["boot", "--data", path, "--schema", schema, "--dist", "ztnb2", "-B", "12",
+            "--seed", "4", "--draws-path", str(draws), "--output", str(out)]
+    assert cli.main(argv) == 0
+    fitted = mle.fit(data, cli._model_spec("ztnb2", None, None))
+    result = uncertainty.parametric_bootstrap(fitted, B=12, seed=4)
+    report = result.to_dict() | {"xi_hat": fitted.xi_hat, "draws_path": str(draws)}
+    assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert len(result.draws) > 1
+    assert draws.read_text(encoding="utf-8") == written([["xi_star", "xi_hat_star"], *result.draws])
+
+
+def test_simulate_table_is_csv_writer(tmp_path):
+    out = tmp_path / "simulate.csv"
+    argv = ["simulate", "--phi", "2.5", "-B", "4", "--strata", "20", "--seed", "2",
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    population = tuple(simulation.synthetic_population(20, 2))
+    design = simulation.SimDesign(phi_true=2.5, B=4, seed=2, population=population)
+    report = simulation.run_simulation(design)
+    rows = [["variant", "parameter", "rb_percent", "rrmse_percent", "failures"]] + [
+        [v, p, f"{c['rb_percent']:.6f}", f"{c['rrmse_percent']:.6f}", report.failures[v]]
+        for v in design.variants
+        for p, c in report.metrics[v].items()
+    ]
+    assert len(rows) == 1 + 4 * len(simulation.PARAMETERS)
+    assert out.read_text(encoding="utf-8") == written(rows)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from popest import simulation
 from popest.meanmodel import ModelData, ParamVector
 from popest.meanmodel import loglik_kind
 from popest.simulation import (
@@ -14,6 +15,8 @@ from popest.simulation import (
     run_simulation,
     synthetic_population,
 )
+
+from conftest import fail_refits
 
 
 def test_metrics_forced_perfect_estimates():
@@ -181,3 +184,22 @@ def test_truncated_variant_on_kept_zeros_fails_each_replicate():
 
 def test_variant_kinds_cover_all_arms():
     assert set(VARIANT_KINDS) == {"zhang-approx", "exact-gamma", "nb2-closed", "zt-nb2"}
+
+
+def test_failed_refits_are_counted_per_variant(monkeypatch):
+    design = _design(B=6, strata=30)
+    args = _replicate_args(design)
+    clean = [_replicate(b, design, *args) for b in range(design.B)]
+    assert all(row is not None for r in clean for row in r.values())
+    failed = {"nb2": {1: "raise", 4: "stall"}, "ztnb2": {2: "raise"}}
+    fail_refits(monkeypatch, simulation, lambda kind, i: failed.get(kind, {}).get(i))
+    report = run_simulation(design)
+    assert report.failures == {"zhang-approx": 0, "exact-gamma": 0, "nb2-closed": 2, "zt-nb2": 1}
+    N = np.array([p[0] for p in design.population], dtype=float)
+    truth = {"alpha": design.alpha_true, "beta": design.beta_true, "phi": design.phi_true,
+             "xi": float(np.sum(N**design.alpha_true))}
+    for variant, kind in VARIANT_KINDS.items():
+        rows = [r[variant] for b, r in enumerate(clean) if b not in failed.get(kind, {})]
+        for parameter in PARAMETERS:
+            est = np.array([row[parameter] for row in rows])
+            assert report.metrics[variant][parameter] == aggregate_metrics(est, truth[parameter])

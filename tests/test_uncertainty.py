@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from popest import uncertainty
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily
 from popest.meanmodel import DesignSpec, ModelSpec
@@ -16,7 +17,7 @@ from popest.uncertainty import (
     spin_interval,
 )
 
-from conftest import manual_fit
+from conftest import fail_refits, manual_fit
 
 
 def one_country_fit(alpha_se: float):
@@ -207,3 +208,22 @@ def test_bootstrap_env_thread_override(boot_fit, monkeypatch):
     monkeypatch.setenv("POPEST_THREADS", "1")
     b = parametric_bootstrap(boot_fit, B=20, seed=13)
     assert a.draws == b.draws
+
+
+@pytest.mark.parametrize("failed", [{3: "raise", 7: "stall", 12: "raise", 19: "stall"},
+                                    {0: "stall", 5: "raise", 6: "raise", 9: "stall", 15: "raise"}])
+def test_bootstrap_failed_refits_are_counted_and_left_out(boot_fit, monkeypatch, failed):
+    B = 20
+    clean = parametric_bootstrap(boot_fit, B=B, seed=6)
+    assert clean.failures == 0 and len(clean.draws) == B
+    fail_refits(monkeypatch, uncertainty, lambda kind, i: failed.get(i))
+    res = parametric_bootstrap(boot_fit, B=B, seed=6)
+    kept = [d for b, d in enumerate(clean.draws) if b not in failed]
+    assert res.failures == len(failed)
+    assert res.unreliable == (len(failed) > 0.2 * B)  # 4 of 20 is reliable, 5 is not
+    assert res.draws == kept
+    xs, xh = (np.array(c) for c in zip(*kept))
+    assert res.mse == float(np.mean((xh - xs) ** 2))
+    assert res.intervals["percentile"] == percentile_interval(xs, 0.95)
+    assert res.intervals["spin"] == spin_interval(xs, 0.95)
+    assert res.intervals["plugin"] == clean.intervals["plugin"]
