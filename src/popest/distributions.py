@@ -10,10 +10,13 @@ Each kind's per-record log-likelihood term has one implementation,
 ``term_derivatives``) check their arguments and support on every call; the
 line search (``meanmodel.loglik_kind``) checks phi and the counts once per
 call and runs the unchecked kernel, whose non-finite terms it rejects.
-``term_derivatives`` returns only the (mu, phi) derivatives of that term.
-The kernel and ``term_derivatives`` evaluate each special function of m + c
-once per distinct count of m (``DistinctCounts``); a caller that evaluates
-one m many times builds its distinct counts once and passes them.
+``term_derivatives`` returns only the (mu, phi) derivatives of that term,
+and ``term_derivatives_kernel`` is its unchecked kernel. The kernels
+evaluate each special function of m + c once per distinct count of m
+(``DistinctCounts``); a caller that evaluates one m many times builds its
+distinct counts once and passes them. Both kernels also take a ``(B, n)``
+matrix of counts with a ``(B, 1)`` column of per-row phi, and evaluate each
+row as a separate call would.
 """
 
 from __future__ import annotations
@@ -125,19 +128,33 @@ def _log1mexp(a):
 
 class DistinctCounts(NamedTuple):
     """The distinct values of a count array m and their inverse indices, so
-    that ``values[inverse] == m`` exactly."""
+    that ``values[inverse] == m`` exactly. For a ``(B, n)`` matrix the values
+    are distinct per row, and ``rows`` holds the row of each value."""
 
     values: np.ndarray
     inverse: np.ndarray
+    rows: np.ndarray | None = None
 
     @staticmethod
     def of(m) -> "DistinctCounts":
-        return DistinctCounts(*np.unique(m, return_inverse=True))
+        m = np.asarray(m)
+        if m.ndim != 2:
+            return DistinctCounts(*np.unique(m, return_inverse=True))
+        order = np.argsort(m, axis=1, kind="stable")
+        ranked = np.take_along_axis(m, order, axis=1)
+        first = np.ones(m.shape, dtype=bool)
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        inverse = np.empty(m.shape, dtype=np.intp)
+        np.put_along_axis(inverse, order, np.cumsum(first).reshape(m.shape) - 1, axis=1)
+        return DistinctCounts(ranked[first], inverse, np.nonzero(first)[0])
 
 
 def _of_counts(f, c, counts: DistinctCounts):
     """f(m + c) for an element-wise special function f, evaluated once per
-    distinct count of m."""
+    distinct count of m (per distinct count and row of a matrix m, whose c
+    may be a column of one value per row)."""
+    if counts.rows is not None and np.ndim(c):
+        c = np.reshape(c, -1)[counts.rows]
     return f(counts.values + c)[counts.inverse]
 
 
@@ -201,7 +218,7 @@ def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
 def _checked(kind: str, mu, phi, m):
     """Family of ``kind`` and (mu, m) as float arrays, after the argument and
     support checks shared by ``term_loglik`` and ``term_derivatives``."""
-    fam = _kind_family(kind)
+    fam = kind_family(kind)
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     m = np.asarray(m, dtype=float)
@@ -213,7 +230,7 @@ def check_kind_args(kind: str, phi, m: np.ndarray) -> CountFamily:
     """Family of ``kind``, after the checks of ``term_loglik`` that do not
     involve mu, for a float array of counts; for callers of
     ``term_loglik_kernel``."""
-    fam = _kind_family(kind)
+    fam = kind_family(kind)
     if fam.has_dispersion:
         _check_phi(phi)
     _check_support(fam, kind, m)
@@ -472,6 +489,18 @@ def term_derivatives(
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
     fam, mu, m = _checked(kind, mu, phi, m)
+    t = term_derivatives_kernel(fam, kind, mu, phi, m, counts)
+    if fam.truncation is not Truncation.NONE and not np.all(np.isfinite(t.d_mu)):
+        _checked_normalizer(fam, mu, phi)
+    return t
+
+
+def term_derivatives_kernel(
+    fam: CountFamily, kind: str, mu, phi, m, counts: DistinctCounts | None = None
+) -> TermDerivs:
+    """``term_derivatives`` without its checks, for the arguments that
+    ``term_loglik_kernel`` takes. A truncated support without mass gives
+    NaN derivatives instead of an error."""
     counts = DistinctCounts.of(m) if counts is None else counts
     if kind == "zhang":
         base = _zhang_derivs
@@ -479,7 +508,8 @@ def term_derivatives(
         base = _poisson_derivs if fam.family is Family.POISSON else _nb2_derivs
     d_mu, d_mumu, d_phi, d_phiphi, d_muphi = base(mu, phi, m, counts)
     if fam.truncation is not Truncation.NONE:
-        d = _checked_normalizer(fam, mu, phi)
+        d = _trunc_normalizer(fam, mu, phi)[0]
+        d = np.where(d > 0, d, np.nan)
         s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(fam, mu, phi)
         d_mu = d_mu + s_mu / d
         d_mumu = d_mumu + s_mumu / d + (s_mu / d) ** 2
@@ -490,7 +520,7 @@ def term_derivatives(
     return TermDerivs(d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
 
 
-def _kind_family(kind: str) -> CountFamily:
+def kind_family(kind: str) -> CountFamily:
     """Family and truncation of a likelihood kind; both simulation arms are
     untruncated NB2 likelihoods."""
     if kind in ("zhang", "nb2-mixture"):
@@ -499,8 +529,8 @@ def _kind_family(kind: str) -> CountFamily:
 
 
 def kind_needs_phi(kind: str) -> bool:
-    return _kind_family(kind).has_dispersion
+    return kind_family(kind).has_dispersion
 
 
 def kind_support_min(kind: str) -> int:
-    return _kind_family(kind).support_min
+    return kind_family(kind).support_min

@@ -17,7 +17,7 @@ import numpy as np
 from .dataio import csv_text
 from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData, ParamVector
-from .mle import FIT_ERRORS, FitOptions, fit_kind, linearized_start
+from .mle import FIT_ERRORS, FitOptions, fit_kind, fit_many, linearized_start, presolve_rows
 
 VARIANT_KINDS = {
     "zhang-approx": "zhang",
@@ -91,49 +91,92 @@ def _init_from_arrays(m, log_N, log_ratio) -> tuple[float, float, float]:
     return linearized_start(np.maximum(m, 1.0), log_N, log_ratio)
 
 
-def _replicate(b: int, design: SimDesign, log_N, log_ratio, mu):
+def _draw(b: int, design: SimDesign, log_N, log_ratio, mu):
+    """Replicate b's counts, the strata it keeps and the linearized start on
+    those; None when fewer than 3 strata are kept."""
     rng = np.random.default_rng([design.seed, b])
     fam = CountFamily(Family.NB2, Truncation.NONE)
-    m = sample_many(fam, mu, design.phi_true, rng)
+    m = sample_many(fam, mu, design.phi_true, rng).astype(float)
     keep = m > 0 if design.drop_zeros else np.ones(len(m), dtype=bool)
     if int(keep.sum()) < 3:
-        return {variant: None for variant in design.variants}
-    mk = m[keep].astype(float)
-    lNk = log_N[keep]
-    lrk = log_ratio[keep]
-    ones = np.ones((len(mk), 1))
-    index = np.flatnonzero(keep).tolist()  # stratum positions, for error messages
-    md = ModelData(m=mk, log_N=lNk, log_ratio=lrk, X=ones, Z=ones, index=index)
-    a0, b0, phi0 = _init_from_arrays(mk, lNk, lrk)
-    start = ParamVector(alpha=np.array([a0]), beta=np.array([b0]), phi=phi0)
-    out = {}
-    for variant in design.variants:
-        kind = VARIANT_KINDS[variant]
-        try:
-            params, _, _, conv = fit_kind(md, kind, start, FitOptions())
-        except FIT_ERRORS:
-            out[variant] = None
-            continue
-        if not conv.converged:
-            out[variant] = None
-            continue
-        alpha_hat = float(params.alpha[0])
-        xi_hat = float(np.sum(np.exp(alpha_hat * log_N)))
-        out[variant] = {
-            "alpha": alpha_hat,
-            "beta": float(params.beta[0]),
-            "phi": float(params.phi),
-            "xi": xi_hat,
-        }
+        return None
+    return m, keep, _init_from_arrays(m[keep], log_N[keep], log_ratio[keep])
+
+
+def _refit(md: ModelData, kind: str, start: ParamVector, log_N) -> dict | None:
+    """The estimates of the refit from ``start``, or None when it fails."""
+    try:
+        params, _, _, conv = fit_kind(md, kind, start, FitOptions())
+    except FIT_ERRORS:
+        return None
+    if not conv.converged:
+        return None
+    alpha_hat = float(params.alpha[0])
+    return {
+        "alpha": alpha_hat,
+        "beta": float(params.beta[0]),
+        "phi": float(params.phi),
+        "xi": float(np.sum(np.exp(alpha_hat * log_N))),
+    }
+
+
+def _replicates(design: SimDesign, log_N, log_ratio, mu) -> list[dict]:
+    """variant -> estimates or None, per replicate. Replicates run in blocks
+    of ``presolve_rows``: the draws, one ``fit_many`` pre-solve per variant
+    over the block's replicates with enough strata, then one ``fit_kind``
+    call per replicate and variant."""
+    ones = np.ones((len(mu), 1))
+    size = presolve_rows(len(mu))
+    out = []
+    for lo in range(0, design.B, size):
+        drawn = [_draw(b, design, log_N, log_ratio, mu) for b in range(lo, min(lo + size, design.B))]
+        fitted = [r for r in drawn if r is not None]
+        presolved = {variant: iter([None] * len(fitted)) for variant in design.variants}
+        if size > 1 and fitted:
+            # Dropped strata hold count 1, valid for every variant; the mask
+            # leaves them out of each sum.
+            M = np.array([np.where(keep, m, 1.0) for m, keep, _ in fitted])
+            mask = np.array([keep for _, keep, _ in fitted])
+            starts = np.array([s for _, _, s in fitted])
+            md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
+            presolved = {
+                variant: iter(fit_many(md, M, VARIANT_KINDS[variant], starts, mask))
+                for variant in design.variants
+            }
+        for r in drawn:
+            if r is None:
+                out.append(dict.fromkeys(design.variants))
+                continue
+            m, keep, (a0, b0, phi0) = r
+            index = np.flatnonzero(keep).tolist()  # stratum positions, for error messages
+            md = ModelData(
+                m=m[keep], log_N=log_N[keep], log_ratio=log_ratio[keep],
+                X=ones[keep], Z=ones[keep], index=index,
+            )
+            start = ParamVector(alpha=np.array([a0]), beta=np.array([b0]), phi=phi0)
+            out.append({
+                variant: _refit(md, VARIANT_KINDS[variant], next(presolved[variant]) or start, log_N)
+                for variant in design.variants
+            })
     return out
 
 
 def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationReport:
     """Fit every variant to ``design.B`` replicate panels and aggregate.
 
-    Replicates run serially. ``threads`` (and the ``POPEST_THREADS``
-    environment variable) is accepted and has no effect; results do not
-    depend on it.
+    Replicates run in blocks of ``mle.presolve_rows`` replicates, so memory
+    does not grow with B, and the refits of a block in two steps. After the
+    block's counts are drawn, ``fit_many`` solves each variant on its
+    replicates in lockstep from their linearized starts (the pre-solve),
+    with the dropped strata masked out. Each replicate and variant is then
+    certified by its own ``fit_kind`` call, which decides its status: from
+    the pre-solved parameters when that row converged, where it typically
+    stops after one score/Hessian evaluation, and otherwise from the
+    linearized start, the serial refit itself. Populations of more than
+    1 024 strata, where fewer than 4 replicates fit in a block, have no
+    pre-solve: every refit is serial. ``threads`` (and the
+    ``POPEST_THREADS`` environment variable) is accepted and has no effect;
+    results do not depend on it.
     """
     if design.B < 2:
         raise ValueError("B must be >= 2")
@@ -152,7 +195,7 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
         "xi": xi_true,
     }
 
-    results = [_replicate(b, design, log_N, log_ratio, mu) for b in range(design.B)]
+    results = _replicates(design, log_N, log_ratio, mu)
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}

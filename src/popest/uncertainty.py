@@ -14,7 +14,15 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import sample_many
-from .mle import FIT_ERRORS, FitOptions, FittedModel, fit_kind, xi_from_alpha
+from .mle import (
+    FIT_ERRORS,
+    FitOptions,
+    FittedModel,
+    fit_kind,
+    fit_many,
+    presolve_rows,
+    xi_from_alpha,
+)
 from .meanmodel import ParamVector
 
 
@@ -131,10 +139,8 @@ def _draw_eta_star(
     raise RuntimeError("exceeded 100 redraws waiting for a positive phi*")
 
 
-def _replicate(
-    b: int, seed: int, fit: FittedModel, root: np.ndarray
-) -> tuple[float, float | None, int]:
-    """Returns (xi_star, xi_hat_star or None on refit failure, phi redraws).
+def _draw(b: int, seed: int, fit: FittedModel, root: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Replicate b's draws: (xi_star, regenerated counts, phi redraws).
     ``root`` is the symmetric square root of ``fit.covariance``."""
     rng = np.random.default_rng([seed, b])
     md = fit.data
@@ -144,15 +150,16 @@ def _replicate(
     xi_star = xi_from_alpha(md, params_star.alpha)
     mu_star = md.mu_values(params_star)
     m_star = sample_many(fit.model.family, mu_star, params_star.phi, rng)
-    md_star = md.with_counts(m_star.astype(float))
-    kind = fit.model.family.token
+    return xi_star, m_star.astype(float), redraws
+
+
+def _refit(md_star, kind: str, start: ParamVector) -> float | None:
+    """xi_hat* of the refit from ``start``, or None when it fails."""
     try:
-        params_hat, _, _, conv = fit_kind(md_star, kind, fit.params, FitOptions())
-        if not conv.converged:
-            return xi_star, None, redraws
+        params_hat, _, _, conv = fit_kind(md_star, kind, start, FitOptions())
     except FIT_ERRORS:
-        return xi_star, None, redraws
-    return xi_star, xi_from_alpha(md_star, params_hat.alpha), redraws
+        return None
+    return xi_from_alpha(md_star, params_hat.alpha) if conv.converged else None
 
 
 def parametric_bootstrap(
@@ -168,9 +175,18 @@ def parametric_bootstrap(
     counts from the fitted family at mu*, refit, record (xi*, xi_hat*).
     Intervals are computed over the xi* draws; mse over the pairs.
 
-    Replicates run serially. ``threads`` (and the ``POPEST_THREADS``
-    environment variable) is accepted and has no effect; results do not
-    depend on it.
+    The replicates run in blocks of ``mle.presolve_rows`` replicates, so
+    memory does not grow with B. The refits of a block run in two steps.
+    ``fit_many`` first solves them in lockstep from ``fit.params`` (the
+    pre-solve). Each replicate is then certified by its own ``fit_kind``
+    call, which decides its status: from the pre-solved parameters when that
+    row converged, where it typically stops after one score/Hessian
+    evaluation, and otherwise from ``fit.params``, the serial refit itself.
+    On panels of more than 1 024 strata, where fewer than 4 replicates fit
+    in a block, there is no pre-solve and every refit is serial. Each replicate's draws come from its own
+    generator, so results do not depend on the blocks.
+    ``threads`` (and the ``POPEST_THREADS`` environment variable) is accepted
+    and has no effect; results do not depend on it.
     """
     if fit.covariance is None:
         raise IntervalError("fit has no covariance; bootstrap disabled")
@@ -178,13 +194,25 @@ def parametric_bootstrap(
         raise ValueError("B must be positive")
     _check_level(level)
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
-    results = [_replicate(b, seed, fit, root) for b in range(B)]
+    md, kind = fit.data, fit.model.family.token
+    size = presolve_rows(len(md.m))
+    xi_star, xi_hat, redraws = [], [], 0
+    for lo in range(0, B, size):
+        block = [_draw(b, seed, fit, root) for b in range(lo, min(lo + size, B))]
+        if size > 1:
+            counts = np.array([m for _, m, _ in block])
+            presolved = fit_many(md, counts, kind, fit.params.stacked())
+        else:
+            presolved = [None] * len(block)
+        for (xs, m, r), params in zip(block, presolved):
+            xi_star.append(xs)
+            xi_hat.append(_refit(md.with_counts(m), kind, params or fit.params))
+            redraws += r
 
-    draws = [(xs, xh) for xs, xh, _ in results if xh is not None]
-    failures = sum(1 for _, xh, _ in results if xh is None)
-    redraws = sum(r for _, _, r in results)
+    draws = [(xs, xh) for xs, xh in zip(xi_star, xi_hat) if xh is not None]
+    failures = xi_hat.count(None)
 
-    xi_star_all = np.array([xs for xs, _, _ in results])
+    xi_star_all = np.array(xi_star)
     if draws:
         xs = np.array([d[0] for d in draws])
         xh = np.array([d[1] for d in draws])

@@ -10,7 +10,7 @@ from popest.simulation import (
     PARAMETERS,
     SimDesign,
     VARIANT_KINDS,
-    _replicate,
+    _replicates,
     aggregate_metrics,
     run_simulation,
     synthetic_population,
@@ -78,9 +78,7 @@ def test_exact_arms_agree_per_replicate():
     # exact-gamma and nb2-closed maximize the same likelihood, so they must
     # succeed or fail together.
     design = _design(B=8, variants=("exact-gamma", "nb2-closed"))
-    args = _replicate_args(design)
-    for b in range(design.B):
-        out = _replicate(b, design, *args)
+    for out in _replicates(design, *_replicate_args(design)):
         eg, nc = out["exact-gamma"], out["nb2-closed"]
         assert (eg is None) == (nc is None)
         if eg is None:
@@ -104,7 +102,7 @@ def test_fit_at_optimum_with_stalled_line_search_is_converged():
     # In replicate 15 of this design the zhang fit reaches its optimum with
     # max|g| above 1e-4 and no halving that raises the log-likelihood.
     design = _design(strata=80, variants=("zhang-approx",))
-    out = _replicate(15, design, *_replicate_args(design))
+    out = _replicates(design, *_replicate_args(design))[15]
     assert out["zhang-approx"] is not None
 
 
@@ -188,8 +186,7 @@ def test_variant_kinds_cover_all_arms():
 
 def test_failed_refits_are_counted_per_variant(monkeypatch):
     design = _design(B=6, strata=30)
-    args = _replicate_args(design)
-    clean = [_replicate(b, design, *args) for b in range(design.B)]
+    clean = _replicates(design, *_replicate_args(design))
     assert all(row is not None for r in clean for row in r.values())
     failed = {"nb2": {1: "raise", 4: "stall"}, "ztnb2": {2: "raise"}}
     fail_refits(monkeypatch, simulation, lambda kind, i: failed.get(kind, {}).get(i))
