@@ -105,7 +105,7 @@ class EtaPoint:
 
 
 def _check_mu(mu: np.ndarray) -> None:
-    if not np.all((mu > 0.0) & (mu < np.inf)):
+    if not ((mu > 0.0) & (mu < np.inf)).all():
         raise ParameterError("mu must be positive and finite")
 
 
@@ -147,6 +147,25 @@ class DistinctCounts(NamedTuple):
         inverse = np.empty(m.shape, dtype=np.intp)
         np.put_along_axis(inverse, order, np.cumsum(first).reshape(m.shape) - 1, axis=1)
         return DistinctCounts(ranked[first], inverse, np.nonzero(first)[0])
+
+    def take_rows(self, rows) -> "DistinctCounts":
+        """For the distinct counts of a ``(B, n)`` matrix, those of its rows
+        ``rows`` (ascending, without repeats), equal field for field to
+        ``DistinctCounts.of`` of those rows, taken by row segment without a
+        new sort."""
+        n_rows = len(self.inverse)
+        if len(rows) == n_rows:
+            return self
+        sizes = np.bincount(self.rows, minlength=n_rows)
+        keep = np.zeros(n_rows, dtype=bool)
+        keep[rows] = True
+        kept = sizes[rows]
+        shift = (np.cumsum(sizes) - sizes)[rows] - (np.cumsum(kept) - kept)
+        return DistinctCounts(
+            self.values[keep[self.rows]],
+            self.inverse[rows] - shift[:, None],
+            np.repeat(np.arange(len(rows)), kept),
+        )
 
 
 def _of_counts(f, c, counts: DistinctCounts):
@@ -344,12 +363,26 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_REJECTIONS = 10**6
+# A rejection round of at most this many records draws them with one scalar
+# generator call each, in record order, which consumes the generator exactly
+# as one array call over them does. numpy's array path costs a fixed 10-40 µs
+# in argument checks (more for NB2), a scalar call about 1 µs, so the cut
+# lies near 16 records for Poisson and 30 for NB2.
+_SCALAR_ROUND = 16
 
 
 def _sample_untruncated(family: Family, mu, phi, rng: np.random.Generator, size):
     if family is Family.POISSON:
         return rng.poisson(mu, size=size)
-    return rng.negative_binomial(n=phi, p=phi / (phi + np.asarray(mu)), size=size)
+    return rng.negative_binomial(n=phi, p=phi / (phi + mu), size=size)
+
+
+def _redraw(family: Family, mu: np.ndarray, phi, rng: np.random.Generator):
+    """One untruncated draw per entry of the 1-d ``mu``, as a rejection round
+    takes them."""
+    if len(mu) > _SCALAR_ROUND:
+        return _sample_untruncated(family, mu, phi, rng, len(mu))
+    return [_sample_untruncated(family, x, phi, rng, None) for x in mu.tolist()]
 
 
 def sample(family: CountFamily, eta: EtaPoint, rng: np.random.Generator) -> int:
@@ -360,7 +393,8 @@ def sample(family: CountFamily, eta: EtaPoint, rng: np.random.Generator) -> int:
 def sample_many(
     family: CountFamily, mu: np.ndarray, phi: float | None, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draw, one count per mu entry, rejection per record."""
+    """Vectorized draw, one count per mu entry, rejection per record: each
+    round redraws the records still below the support, in record order."""
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     if family.has_dispersion:
@@ -369,14 +403,15 @@ def sample_many(
     out = _sample_untruncated(family.family, mu, phi, rng, mu.shape)
     if lo == 0:
         return out
-    bad = out < lo
+    flat, mu_flat = out.reshape(-1), mu.reshape(-1)
+    bad = np.flatnonzero(flat < lo)
     tries = 0
-    while np.any(bad):
+    while bad.size:
         tries += 1
         if tries > _MAX_REJECTIONS:
             raise SamplingError("vectorized rejection sampling stalled")
-        out[bad] = _sample_untruncated(family.family, mu[bad], phi, rng, int(bad.sum()))
-        bad = out < lo
+        flat[bad] = _redraw(family.family, mu_flat[bad], phi, rng)
+        bad = bad[flat[bad] < lo]
     return out
 
 
@@ -490,7 +525,7 @@ def term_derivatives(
     """
     fam, mu, m = _checked(kind, mu, phi, m)
     t = term_derivatives_kernel(fam, kind, mu, phi, m, counts)
-    if fam.truncation is not Truncation.NONE and not np.all(np.isfinite(t.d_mu)):
+    if fam.truncation is not Truncation.NONE and not np.isfinite(t.d_mu).all():
         _checked_normalizer(fam, mu, phi)
     return t
 
@@ -520,12 +555,20 @@ def term_derivatives_kernel(
     return TermDerivs(d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
 
 
+# Every likelihood kind's family; both simulation arms are untruncated NB2
+# likelihoods.
+_KIND_FAMILIES = {
+    **{tok: CountFamily(fam, trunc) for tok, (fam, trunc) in _FAMILY_TOKENS.items()},
+    "zhang": CountFamily(Family.NB2),
+    "nb2-mixture": CountFamily(Family.NB2),
+}
+
+
 def kind_family(kind: str) -> CountFamily:
-    """Family and truncation of a likelihood kind; both simulation arms are
-    untruncated NB2 likelihoods."""
-    if kind in ("zhang", "nb2-mixture"):
-        return CountFamily(Family.NB2)
-    return CountFamily.from_token(kind)
+    """Family and truncation of a likelihood kind: a lookup, which falls back
+    to ``CountFamily.from_token`` for a token not in canonical form."""
+    fam = _KIND_FAMILIES.get(kind)
+    return fam if fam is not None else CountFamily.from_token(kind)
 
 
 def kind_needs_phi(kind: str) -> bool:

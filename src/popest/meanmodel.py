@@ -232,10 +232,10 @@ def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
     ll = term_loglik_kernel(
         fam, kind, md.mu_values(params), params.phi, md.m, counts=md.distinct
     )
-    if not np.all(np.isfinite(ll)):
+    if not np.isfinite(ll).all():
         i = int(np.argmax(~np.isfinite(ll)))
         raise NumericalError(f"non-finite log-likelihood term at record {md.record(i)}")
-    return float(np.sum(ll))
+    return float(ll.sum())
 
 
 def score_and_hessian_kind(
@@ -253,16 +253,16 @@ def score_and_hessian_kind(
     # d log mu / d gamma = w, so dl/dgamma = (dl/dmu) mu w and
     # d2l/dgamma2 = (d2l/dmu2 mu^2 + dl/dmu mu) w w'.
     a1 = t.d_mu * mu_vals
-    a2 = t.d_mumu * mu_vals**2 + t.d_mu * mu_vals
+    a2 = t.d_mumu * mu_vals**2 + a1
     g[:p] = W.T @ a1
     H[:p, :p] = W.T @ (W * a2[:, None])
     if has_phi:
-        g[p] = float(np.sum(t.d_phi))
-        H[p, p] = float(np.sum(t.d_phiphi))
+        g[p] = t.d_phi.sum()
+        H[p, p] = t.d_phiphi.sum()
         cross = W.T @ (t.d_muphi * mu_vals)
         H[:p, p] = cross
         H[p, :p] = cross
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise NumericalError("non-finite score or Hessian entries")
     return g, H
 

@@ -20,7 +20,6 @@ from .distributions import (
     SupportError,
     kind_family,
     kind_needs_phi,
-    kind_support_min,
     term_derivatives_kernel,
     term_loglik_kernel,
 )
@@ -45,10 +44,12 @@ _DECREMENT_TOL = 1e-8
 # kernel's temporaries stay small (32 KiB each) at no measurable cost in time.
 _BLOCK_ELEMENTS = 4096
 # The pre-solve saves per-call overhead, and costs more per record than
-# fit_kind: it rebuilds each row's distinct counts on every evaluation and
-# masks its sums. On ztnb2 bootstrap refits it took half the serial time at
-# 120 records, 0.8 of it at 600 (6 rows a block) and 1.1 at 1 200 (3 rows),
-# so blocks of fewer rows than this are refitted serially.
+# fit_kind: its stacked sums are masked, and its rows' distinct counts are
+# taken from the block's on every evaluation. A ztnb2 bootstrap (B = 40, two
+# alternated runs) took 0.47-0.48 of the serial time at 101 records,
+# 0.71-0.80 at 514 (7 rows a block), 0.96-1.00 at 1 037 (3 rows) and
+# 1.04-1.13 at 1 720 (2 rows), so blocks of fewer rows than this are
+# refitted serially.
 _MIN_BLOCK_ROWS = 4
 # What a failed fit raises (bad data or parameters, a numerical failure, a
 # singular system); callers that count or report failed fits catch these.
@@ -123,8 +124,8 @@ class Convergence:
     ``max_iter + 1``); ``grad_norm`` is max|g| at the returned parameters.
     A bootstrap or simulation refit that ``fit_many`` pre-solved is certified
     by a ``fit_kind`` call started at the pre-solved parameters, so its
-    ``iterations`` counts only that call's evaluations (usually 1), not the
-    lockstep iterations before it."""
+    ``iterations`` counts only that call's evaluations (1 where the stop rule
+    holds again at that point), not the lockstep iterations before it."""
 
     iterations: int
     grad_norm: float
@@ -243,6 +244,11 @@ class FitOptions:
     trace: list | None = None
 
 
+# The statuses _newton can end a row with, indexed by the codes it tracks.
+_STATUSES = ("max-iterations", "non-finite", "converged", "indefinite", "stalled")
+_MAX_ITER, _NON_FINITE, _CONVERGED, _INDEFINITE, _STALLED = range(len(_STATUSES))
+
+
 def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, ascend: bool):
     """Newton-Raphson ascent of a stack of log-likelihoods in lockstep, one
     per row of ``theta`` (internal scale: log(phi) last), from their values
@@ -250,71 +256,77 @@ def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, as
     Rows whose ``ll`` is not finite are not iterated.
 
     ``grad_hess(rows, theta)`` returns the internal score ``(r, k)`` and
-    Hessian ``(r, k, k)`` of the rows ``rows`` at their parameters ``theta``,
-    and ``loglik(rows, theta)`` their log-likelihoods, non-finite where a
-    probe is invalid. One pass per evaluation of (g, H) over the rows still
-    iterating. The stop rule is tested before any probe, so the pass after
-    the last allowed step still tests the returned point. A row whose
-    Hessian is not negative definite takes a scaled gradient-ascent step
-    when ``ascend`` and otherwise ends "indefinite"; a row with a non-finite
-    score or Hessian ends "non-finite".
+    Hessian ``(r, k, k)`` of the rows ``rows`` (ascending) at their
+    parameters ``theta``, and ``loglik(rows, theta)`` their log-likelihoods,
+    non-finite where a probe is invalid. One pass per evaluation of (g, H)
+    over the rows still iterating. The stop rule is tested before any probe,
+    so the pass after the last allowed step still tests the returned point.
+    A row whose Hessian is not negative definite takes a scaled
+    gradient-ascent step when ``ascend`` and otherwise ends "indefinite"; a
+    row with a non-finite score or Hessian ends "non-finite".
+
+    Statuses are written, and the stack compressed, only when a row leaves
+    the iteration, so a pass in which every row goes on, or every row stops
+    on the decrement, pays for little beyond its linear algebra.
     """
-    started = np.isfinite(ll)
-    status = np.where(started, "max-iterations", "non-finite").astype(object)
-    active = np.flatnonzero(started)
+    status = np.where(np.isfinite(ll), _MAX_ITER, _NON_FINITE)
+    active = np.flatnonzero(status == _MAX_ITER)
     for it in range(1, max(options.max_iter, 0) + 2):
         if not active.size:
             break
         g, H = grad_hess(active, theta[active])
         norm = np.abs(g).max(axis=1)
         finite = np.isfinite(norm) & np.isfinite(H).all(axis=(1, 2))
-        if not finite.all():
-            status[active[~finite]] = "non-finite"
-        done = finite & (norm < options.grad_tol)
-        status[active[done]] = "converged"
-        go = finite & ~done
-        g, H, active = g[go], H[go], active[go]
-        definite = _definite_rows(-H)
+        go = finite & (norm >= options.grad_tol)
+        if not go.all():
+            status[active[~finite]] = _NON_FINITE
+            status[active[finite & ~go]] = _CONVERGED
+            g, H, active = g[go], H[go], active[go]
+            if not active.size:
+                break
+        neg_H = -H
+        definite = _definite_rows(neg_H)
         if not ascend and not definite.all():
-            status[active[~definite]] = "indefinite"
-            g, H, active = g[definite], H[definite], active[definite]
+            status[active[~definite]] = _INDEFINITE
+            g, neg_H, active = g[definite], neg_H[definite], active[definite]
             definite = definite[definite]
         if definite.all():
-            step = np.linalg.solve(-H, g[:, :, None])[:, :, 0]
+            step = np.linalg.solve(neg_H, g[:, :, None])[:, :, 0]
             decrement = np.einsum("ij,ij->i", g, step)
         else:
             # Not negative definite here: scaled gradient ascent.
             scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
             step = g / np.maximum(scale, 1.0)[:, None]
             decrement = np.full(len(g), np.inf)
-            step[definite] = np.linalg.solve(-H[definite], g[definite, :, None])[:, :, 0]
+            step[definite] = np.linalg.solve(neg_H[definite], g[definite, :, None])[:, :, 0]
             decrement[definite] = np.einsum("ij,ij->i", g[definite], step[definite])
         done = decrement < _DECREMENT_TOL
-        status[active[done]] = "converged"
-        step, active = step[~done], active[~done]
-        if it > options.max_iter:
+        if done.any():
+            status[active[done]] = _CONVERGED
+            step, active = step[~done], active[~done]
+        if not active.size or it > options.max_iter:
             break
         # Line search: the rows that no probe has raised yet halve their
         # step together; a row that no halving raises has stalled.
-        stalled = np.ones(len(active), dtype=bool)
+        pending = np.arange(len(active))
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            pending = np.flatnonzero(stalled)
-            if not pending.size:
-                break
             rows = active[pending]
             cand = _clip_theta(theta[rows] + t * step[pending], has_phi)
             ll_new = loglik(rows, cand)
             up = np.isfinite(ll_new) & (ll_new > ll[rows])
             theta[rows[up]] = cand[up]
             ll[rows[up]] = ll_new[up]
-            stalled[pending[up]] = False
             if options.trace is not None:
                 options.trace.extend(ll_new[up].tolist())
+            pending = pending[~up]
+            if not pending.size:
+                break
             t *= 0.5
-        status[active[stalled]] = "stalled"
-        active = active[~stalled]
-    return status
+        if pending.size:
+            status[active[pending]] = _STALLED
+            active = np.delete(active, pending)
+    return [_STATUSES[code] for code in status.tolist()]
 
 
 def _definite_rows(A: np.ndarray) -> np.ndarray:
@@ -347,19 +359,18 @@ def fit_kind(
     Hessian is not negative definite the step is scaled gradient ascent.
     """
     options = options or FitOptions()
-    lo = kind_support_min(kind)
-    if np.any(md.m < lo):
+    fam = kind_family(kind)
+    lo = fam.support_min
+    if (md.m < lo).any():
         i = int(np.argmax(md.m < lo))
         raise SupportError(
             f"record {md.record(i)} has m={md.m[i]:g}, below the support minimum {lo} of {kind}"
         )
-    has_phi = kind_needs_phi(kind)
+    has_phi = fam.has_dispersion
     n_alpha = md.X.shape[1]
     n_beta = md.Z.shape[1]
-    theta = np.concatenate([np.asarray(start.alpha, float), np.asarray(start.beta, float)])
-    if has_phi:
-        theta = np.append(theta, np.log(start.phi))
-    theta = _clip_theta(theta, has_phi)[None]
+    parts = [start.alpha, start.beta, [np.log(start.phi)]] if has_phi else [start.alpha, start.beta]
+    theta = _clip_theta(np.concatenate(parts, dtype=float)[None], has_phi)
 
     def objective(rows, th):
         try:
@@ -387,21 +398,20 @@ def fit_kind(
 
     theta = theta[0]
     params = _params_from_internal(theta, n_alpha, n_beta, has_phi)
-    covariance = None
     try:
         cov_int = np.linalg.inv(-H)
+    except np.linalg.LinAlgError:
+        covariance = None
+    else:
+        covariance = cov_int
         if has_phi:
             jac = np.ones(len(theta))
             jac[-1] = params.phi
             covariance = cov_int * np.outer(jac, jac)
-        else:
-            covariance = cov_int
         covariance = 0.5 * (covariance + covariance.T)
-        if not np.all(np.isfinite(covariance)):
+        if not np.isfinite(covariance).all():
             covariance = None
-    except np.linalg.LinAlgError:
-        covariance = None
-    grad_norm = float(np.max(np.abs(g)))
+    grad_norm = float(np.abs(g).max())
     return params, float(ll[0]), covariance, Convergence(it, grad_norm, status)
 
 
@@ -435,8 +445,9 @@ def fit_many(
     every sum. The settings are ``FitOptions()``, those of every replicate
     refit. Each iteration evaluates the score and Hessian of every row still
     iterating with one stacked call of the unchecked kernel, and each
-    line-search probe their log-likelihoods the same way; callers keep
-    ``M`` to ``presolve_rows`` rows.
+    line-search probe their log-likelihoods the same way, with those rows'
+    share of the distinct counts of ``M``, which are sorted once; callers
+    keep ``M`` to ``presolve_rows`` rows.
 
     Returns, per row, the parameters where it met the stop rule, or None. A
     row that stalls, reaches ``max_iter``, has a count below the support, a
@@ -458,6 +469,7 @@ def fit_many(
     if has_phi:
         theta[:, -1] = np.log(theta[:, -1])
     theta = _clip_theta(theta, has_phi)
+    counts = DistinctCounts.of(M)
 
     def kept(a, rows):
         """``a`` with the terms of dropped strata set to 0."""
@@ -466,7 +478,8 @@ def fit_many(
     def loglik(rows, th):
         m = M[rows]
         phi = np.exp(th[:, p:]) if has_phi else None
-        terms = term_loglik_kernel(fam, kind, np.exp(th[:, :p] @ W.T), phi, m, DistinctCounts.of(m))
+        mu = np.exp(th[:, :p] @ W.T)
+        terms = term_loglik_kernel(fam, kind, mu, phi, m, counts.take_rows(rows))
         return np.sum(kept(terms, rows), axis=1)
 
     def grad_hess(rows, th):
@@ -475,7 +488,7 @@ def fit_many(
         m = M[rows]
         mu = np.exp(th[:, :p] @ W.T)
         phi = np.exp(th[:, p:]) if has_phi else None
-        t = term_derivatives_kernel(fam, kind, mu, phi, m, DistinctCounts.of(m))
+        t = term_derivatives_kernel(fam, kind, mu, phi, m, counts.take_rows(rows))
         a1 = kept(t.d_mu * mu, rows)
         a2 = kept(t.d_mumu * mu**2 + t.d_mu * mu, rows)
         g = np.empty((len(m), k))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, polygamma, psi, zeta
 
+from popest import distributions
 from popest.distributions import (
     CountFamily,
     DistinctCounts,
@@ -166,6 +167,44 @@ def test_sampler_determinism():
     seq_b = [sample(fam, eta, rng) for _ in range(50)]
     assert seq_a == seq_b
     assert a == b
+
+
+def _array_rounds(fam, mu, phi, rng):
+    """Truncated rejection sampling with one array generator call per round,
+    whatever its size: the reference for ``sample_many``."""
+    def draw(mu):
+        if fam.family is Family.POISSON:
+            return rng.poisson(mu, size=len(mu))
+        return rng.negative_binomial(n=phi, p=phi / (phi + mu), size=len(mu))
+
+    out = draw(mu)
+    bad = out < fam.support_min
+    while np.any(bad):
+        out[bad] = draw(mu[bad])
+        bad = out < fam.support_min
+    return out
+
+
+@pytest.mark.parametrize("token", ["ztpo", "zotpo", "ztnb2", "zotnb2"])
+@pytest.mark.parametrize("mu", [0.2, 0.6, 2.0, 6.0])
+@pytest.mark.parametrize(
+    "n", [1, distributions._SCALAR_ROUND, distributions._SCALAR_ROUND + 1, 200]
+)
+def test_scalar_rounds_draw_what_array_rounds_draw(token, mu, n):
+    # Rounds of at most _SCALAR_ROUND records go one scalar call per record;
+    # they must draw the same counts and leave the generator in the same
+    # state as one array call per round. n = 200 at a small mu runs array
+    # rounds first and scalar rounds once few records are left.
+    fam = CountFamily.from_token(token)
+    phi = 0.7 if fam.has_dispersion else None
+    mu = mu * np.exp(np.random.default_rng(n).uniform(-1.0, 1.0, n))
+    for seed in range(3):
+        rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        got = sample_many(fam, mu, phi, rng)
+        want = _array_rounds(fam, mu, phi, ref)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize(

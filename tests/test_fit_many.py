@@ -210,6 +210,51 @@ def test_row_kernels_equal_one_call_per_row(kind, seed, B, n):
                 np.testing.assert_allclose(got[b], want, rtol=1e-13, atol=0, err_msg=name)
 
 
+def _assert_same_counts(got, want):
+    for name in DistinctCounts._fields:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 8),
+    n=st.integers(1, 30),
+    top=st.integers(0, 50),
+    data=st.data(),
+)
+def test_block_counts_equal_the_counts_of_the_rows(seed, B, n, top, data):
+    # The distinct counts of a block, taken by row segment for an ascending
+    # subset of its rows, equal those built from the subset itself.
+    M = np.random.default_rng(seed).integers(0, top + 1, (B, n)).astype(float)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, B - 1), min_size=1))))
+    _assert_same_counts(DistinctCounts.of(M).take_rows(rows), DistinctCounts.of(M[rows]))
+
+
+def test_fit_many_evaluates_with_the_counts_of_its_rows(monkeypatch):
+    # Rows leave the lockstep at different passes, so the kernels see
+    # subsets of the block; each call's counts are those of its own counts.
+    md, M, starts = _rows_and_starts()
+    M = np.vstack([M, M[::-1]])
+    starts = np.vstack([starts, starts])
+    starts[1] = (40.0, 0.0, 2.5)  # mu**2 overflows in the Hessian: leaves at once
+    seen = []
+
+    def checked(kernel):
+        def run(fam, kind, mu, phi, m, counts):
+            _assert_same_counts(counts, DistinctCounts.of(m))
+            seen.append(len(m))
+            return kernel(fam, kind, mu, phi, m, counts)
+        return run
+
+    for name in ("term_loglik_kernel", "term_derivatives_kernel"):
+        monkeypatch.setattr(mle, name, checked(getattr(mle, name)))
+    presolved = fit_many(md, M, "ztnb2", starts)
+    assert presolved[1] is None and presolved.count(None) < len(M)
+    assert len(set(seen)) > 2
+
+
 def _rows_and_starts():
     """Strata of a synthetic panel, three count rows drawn on them, and a
     linearized start for each."""

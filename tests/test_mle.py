@@ -346,3 +346,112 @@ def test_fit_serialization_round_trip(ztnb2_dataset, ztnb2_model):
     assert report["convergence"]["status"] == "converged"
     assert len(report["se"]) == fitted.k
     assert report["xi_hat"] == pytest.approx(fitted.xi_hat)
+
+
+class _Stack:
+    """A stack of smooth test log-likelihoods over 3 parameters (the last a
+    log(phi), which ``_newton`` clips), one per row:
+    f = -sum c u^2 - d sum u^4 + e u0 u1 with u = theta - a. Every quantity
+    is elementwise per row, so a row gets the same bits whether it is
+    evaluated alone or with others. Rows in ``stall`` have a probe
+    log-likelihood that never rises; rows in ``nan`` return a NaN score once
+    their theta[0] passes ``a[0] - 1``."""
+
+    def __init__(self, a, c, d, e, stall=(), nan=()):
+        self.a, self.c, self.d, self.e = a, c, d, e
+        self.stall = np.isin(np.arange(len(a)), stall)
+        self.nan = np.isin(np.arange(len(a)), nan)
+
+    def f(self, rows, th):
+        u = th - self.a[rows]
+        quartic = self.d[rows] * (u**4).sum(1)
+        return -(self.c[rows] * u**2).sum(1) - quartic + self.e[rows] * u[:, 0] * u[:, 1]
+
+    def loglik(self, rows, th):
+        return np.where(self.stall[rows], -1e300, self.f(rows, th))
+
+    def grad_hess(self, rows, th):
+        u = th - self.a[rows]
+        c, d, e = self.c[rows], self.d[rows][:, None], self.e[rows]
+        g = -2.0 * c * u - 4.0 * d * u**3
+        g[:, 0] += e * u[:, 1]
+        g[:, 1] += e * u[:, 0]
+        g[self.nan[rows] & (th[:, 0] > self.a[rows, 0] - 1.0)] = np.nan
+        H = np.zeros((len(rows), 3, 3))
+        for j in range(3):
+            H[:, j, j] = -2.0 * c[:, j] - 12.0 * d[:, 0] * u[:, j] ** 2
+        H[:, 0, 1] = H[:, 1, 0] = e
+        return g, H
+
+
+def _reference_row(stack, r, th, value, options, ascend):
+    """The Newton iteration of ``_newton`` on row ``r`` alone, from ``th``
+    and its log-likelihood ``value``: (status, theta, ll)."""
+    if not np.isfinite(value):
+        return "non-finite", th, value
+    rows = np.array([r])
+    for it in range(1, options.max_iter + 2):
+        g, H = stack.grad_hess(rows, th[None])
+        g, H = g[0], H[0]
+        if not (np.isfinite(g).all() and np.isfinite(H).all()):
+            return "non-finite", th, value
+        if np.abs(g).max() < options.grad_tol:
+            return "converged", th, value
+        try:
+            np.linalg.cholesky(-H)
+            step = np.linalg.solve(-H, g)
+            decrement = g @ step
+        except np.linalg.LinAlgError:
+            if not ascend:
+                return "indefinite", th, value
+            step = g / max(np.abs(np.diag(H)).max(), 1.0)
+            decrement = np.inf
+        if decrement < mle._DECREMENT_TOL:
+            return "converged", th, value
+        if it > options.max_iter:
+            break
+        t = 1.0
+        for _ in range(mle._MAX_HALVINGS + 1):
+            cand = mle._clip_theta(th + t * step, True)
+            new = stack.loglik(rows, cand[None])[0]
+            if np.isfinite(new) and new > value:
+                th, value = cand, new
+                break
+            t *= 0.5
+        else:
+            return "stalled", th, value
+    return "max-iterations", th, value
+
+
+@pytest.mark.parametrize("ascend", [True, False])
+@pytest.mark.parametrize("max_iter", [200, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_newton_equals_a_per_row_loop(seed, max_iter, ascend):
+    # Rows that converge at the start, take steps, hit the log(phi) clip,
+    # stall, go non-finite at the start or after a step, start non-finite,
+    # or start where the Hessian is indefinite, all in one stack.
+    rng = np.random.default_rng(seed)
+    R = 14
+    a = rng.uniform(-2.0, 2.0, (R, 3))
+    c = rng.uniform(0.2, 3.0, (R, 3))
+    d = rng.uniform(0.0, 0.5, R)
+    e = rng.uniform(-0.2, 0.2, R)
+    theta = a + rng.uniform(-3.0, 3.0, (R, 3))
+    theta[0] = a[0]  # converged at the start
+    a[1, 2], theta[1, 2] = 30.0, 10.0  # log(phi) runs into its clip
+    c[2:4, 0] = -1.0  # convex in theta[0] near a[0]: indefinite there
+    d[2:4] = 0.5
+    theta[2:4, 0] = a[2:4, 0] + [0.1, 0.6]
+    theta[5, 0] = a[5, 0] - 3.0  # goes non-finite after its first step
+    stack = _Stack(a, c, d, e, stall=[4], nan=[5, 6])
+    ll = stack.f(np.arange(R), theta)
+    ll[7] = -np.inf  # not iterated
+    options = FitOptions(max_iter=max_iter)
+    want = [_reference_row(stack, r, theta[r], ll[r], options, ascend) for r in range(R)]
+    got = mle._newton(theta, ll, stack.grad_hess, stack.loglik, options, True, ascend)
+    assert got == [status for status, _, _ in want]
+    assert np.array_equal(theta, [th for _, th, _ in want])
+    assert np.array_equal(ll, [value for _, _, value in want])
+    assert {"converged", "stalled", "non-finite"} <= set(got)
+    assert ("indefinite" in got) == (not ascend)
+    assert ("max-iterations" in got) == (max_iter == 3)
