@@ -11,22 +11,27 @@ Each kind's per-record log-likelihood term has one implementation,
 line search (``meanmodel.loglik_kind``) checks phi and the counts once per
 call and runs the unchecked kernel, whose non-finite terms it rejects.
 ``term_derivatives`` returns only the (mu, phi) derivatives of that term,
-and ``term_derivatives_kernel`` is its unchecked kernel. The kernels
-evaluate each special function of m + c once per distinct count of m
-(``DistinctCounts``); a caller that evaluates one m many times builds its
-distinct counts once and passes them. Both kernels also take a ``(B, n)``
-matrix of counts with a ``(B, 1)`` column of per-row phi, and evaluate each
-row as a separate call would.
+and ``term_derivatives_kernel`` is its unchecked kernel.
+
+No special function is evaluated. phi enters the NB2 terms only through
+sums over j < m (log Gamma(m+phi) - log Gamma(phi) = sum log(phi+j), and so
+on), which the kernels evaluate once per distinct count of m
+(``DistinctCounts``): directly for j < ``_CAP``, and above it by
+asymptotic-series differences; log m! is a field of the distinct counts. A
+caller that evaluates one m many times builds its distinct counts once and
+passes them. Both kernels also take a ``(B, n)`` matrix of counts with a
+``(B, 1)`` column of per-row phi, and evaluate each row as a separate call
+would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, psi, zeta
 
 
 class Family(str, Enum):
@@ -119,34 +124,31 @@ def _check_phi(phi) -> None:
         raise ParameterError("phi must be positive and finite")
 
 
-def _log1mexp(a):
-    """log(1 - exp(a)) for a < 0, stable for a near 0 and for large -a."""
-    a = np.asarray(a, dtype=float)
-    out = np.where(a > -np.log(2.0), np.log(-np.expm1(a)), np.log1p(-np.exp(a)))
-    return out
-
-
 class DistinctCounts(NamedTuple):
-    """The distinct values of a count array m and their inverse indices, so
-    that ``values[inverse] == m`` exactly. For a ``(B, n)`` matrix the values
-    are distinct per row, and ``rows`` holds the row of each value."""
+    """The distinct values of a count array m, ascending, their inverse
+    indices, so that ``values[inverse] == m`` exactly, and log(v!) of each
+    value v. For a ``(B, n)`` matrix the values are distinct and ascending
+    per row, and ``rows`` holds the row of each value."""
 
     values: np.ndarray
     inverse: np.ndarray
+    log_factorial: np.ndarray
     rows: np.ndarray | None = None
 
     @staticmethod
     def of(m) -> "DistinctCounts":
         m = np.asarray(m)
         if m.ndim != 2:
-            return DistinctCounts(*np.unique(m, return_inverse=True))
+            values, inverse = np.unique(m, return_inverse=True)
+            return DistinctCounts(values, inverse, _log_factorial(values))
         order = np.argsort(m, axis=1, kind="stable")
         ranked = np.take_along_axis(m, order, axis=1)
         first = np.ones(m.shape, dtype=bool)
         first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
         inverse = np.empty(m.shape, dtype=np.intp)
         np.put_along_axis(inverse, order, np.cumsum(first).reshape(m.shape) - 1, axis=1)
-        return DistinctCounts(ranked[first], inverse, np.nonzero(first)[0])
+        values = ranked[first]
+        return DistinctCounts(values, inverse, _log_factorial(values), np.nonzero(first)[0])
 
     def take_rows(self, rows) -> "DistinctCounts":
         """For the distinct counts of a ``(B, n)`` matrix, those of its rows
@@ -161,42 +163,195 @@ class DistinctCounts(NamedTuple):
         keep[rows] = True
         kept = sizes[rows]
         shift = (np.cumsum(sizes) - sizes)[rows] - (np.cumsum(kept) - kept)
+        segment = keep[self.rows]
         return DistinctCounts(
-            self.values[keep[self.rows]],
+            self.values[segment],
             self.inverse[rows] - shift[:, None],
+            self.log_factorial[segment],
             np.repeat(np.arange(len(rows)), kept),
         )
 
+    def split(self) -> list["DistinctCounts"]:
+        """For the distinct counts of a ``(B, n)`` matrix, those of each row
+        in 1-d form, equal field for field to ``DistinctCounts.of`` of that
+        row, taken by row segment without a new sort."""
+        ends = np.cumsum(np.bincount(self.rows, minlength=len(self.inverse))).tolist()
+        return [
+            DistinctCounts(self.values[lo:hi], inverse - lo, self.log_factorial[lo:hi])
+            for lo, hi, inverse in zip([0] + ends, ends, self.inverse)
+        ]
 
-def _of_counts(f, c, counts: DistinctCounts):
-    """f(m + c) for an element-wise special function f, evaluated once per
-    distinct count of m (per distinct count and row of a matrix m, whose c
-    may be a column of one value per row)."""
-    if counts.rows is not None and np.ndim(c):
-        c = np.reshape(c, -1)[counts.rows]
-    return f(counts.values + c)[counts.inverse]
+
+# ---------------------------------------------------------------------------
+# Sums over the counts
+# ---------------------------------------------------------------------------
+# phi enters the NB2 terms through sums over j < v, all of terms of one sign:
+# log Gamma(v+phi) - log Gamma(phi) - v log phi = sum log1p(j/phi), and the
+# sums of 1/(phi+j), j/(phi+j), 1/(phi+j)^2 and j(2phi+j)/(phi+j)^2 for the
+# derivatives. Each is taken directly for j < _CAP, and above it as a
+# difference of asymptotic series between x = phi + _CAP and y = phi + v,
+# arranged so that no terms of size v cancel, with two terms of each series:
+# the first term left out is below 3e-14 at x = 128, and below 1e-15 in the
+# derivatives' series. The cap and the forms were chosen against a 60-digit
+# mpmath oracle (tests/test_kernel_accuracy.py).
+
+_CAP = 128
+_J = np.arange(_CAP, dtype=float)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOGS = [math.log(j) for j in range(1, _CAP + 1)]
+_LOG_FACTORIAL = np.array([math.fsum(_LOGS[:j]) for j in range(_CAP + 1)])
+# Below _SERIES_CUT, log1p(x) - x, x/(1+x) - log1p(x) and 1/q - 1/expm1(q)
+# are taken from their series: taken directly, their rounding error there
+# exceeds 2e-12 relative. Where phi exceeds _CAP, the phi derivatives add
+# them to count sums of nearly opposite size (at m = mu, terms of size
+# m^2/phi^2 leave d/dphi of size m/phi^2), so there they take the series
+# below _LARGE_PHI_CUT.
+_SERIES_CUT = 1e-4
+_LARGE_PHI_CUT = 0.1
 
 
-def _trigamma(x):
-    return zeta(2.0, x)  # bit-identical to polygamma(1, x)
+def _series_cut(phi):
+    """The cut below which ``_log1p_minus`` and ``_dlogf0_dphi`` take their
+    series, for each phi of a float or an array."""
+    if isinstance(phi, np.ndarray):
+        return np.where(phi > _CAP, _LARGE_PHI_CUT, _SERIES_CUT)
+    return _LARGE_PHI_CUT if phi > _CAP else _SERIES_CUT
+
+
+def _stirling(x):
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2 for x >= _CAP."""
+    u = 1.0 / x
+    return u * (1 / 12 - u * u / 360)
+
+
+def _psi_rests(x):
+    """1/x, log x - 1/(2x) - psi(x) and psi'(x) - 1/x - 1/(2x^2), for x >= _CAP."""
+    u = 1.0 / x
+    u2 = u * u
+    return u, u2 * (1 / 12 - u2 / 120), u * u2 * (1 / 6 - u2 / 30)
+
+
+def _log1p_minus(x, cut=_SERIES_CUT):
+    """log1p(x) - x for x >= 0, below ``cut`` (at most _LARGE_PHI_CUT) from the
+    series -x z + 2 (z^3/3 + z^5/5 + ...), z = x/(2 + x), without the
+    cancellation of the two."""
+    out = np.log1p(x) - x
+    small = x < cut
+    if small.any():
+        s = np.minimum(x, cut)
+        z = s / (2.0 + s)
+        z2 = z * z
+        odd = 1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (1 / 11 + z2 / 13))))
+        out = np.where(small, 2.0 * z * z2 * odd - s * z, out)
+    return out
+
+
+def _log_factorial(v):
+    """log(v!) of an array of nonnegative integer counts."""
+    v = np.asarray(v, dtype=float)
+    out = _LOG_FACTORIAL[np.minimum(v, _CAP).astype(np.intp)]
+    big = v > _CAP
+    if big.any():
+        w = v[big]
+        out[big] = (w + 0.5) * np.log(w) - w + _HALF_LOG_2PI + _stirling(w)
+    return out
+
+
+def _count_sums(counts: DistinctCounts, phi, k, terms, tails):
+    """sum_{j<v} terms(phi, j) for every distinct count v of ``counts`` and
+    the phi of its row (a float, or a ``(B, 1)`` column for a matrix),
+    one per value: a cumulative sum over j < min(v, _CAP), then
+    ``tails(phi, _CAP, v)``, the sum over _CAP <= j < v, for v > _CAP.
+    ``terms(phi, j, out)`` writes k sums' terms into ``out``, and ``tails``
+    returns their k tails; the result is a ``(k, len(counts.values))``
+    stack of the k sums."""
+    values = counts.values
+    if counts.rows is None:
+        top = values[-1] if len(values) else 0.0
+        shape = (k,)
+    else:
+        top = values.max(initial=0.0)
+        shape = (k, len(phi))
+    cap = int(min(top, _CAP))
+    table = np.zeros(shape + (cap + 1,))
+    terms(phi, _J[:cap], table[..., 1:])
+    np.add.accumulate(table, axis=-1, out=table)
+    index = np.minimum(values, cap).astype(np.intp)
+    if counts.rows is None:
+        sums = table[:, index]
+        if top > cap:
+            first = values.searchsorted(cap, "right")
+            sums[:, first:] += tails(phi, cap, values[first:])
+    else:
+        sums = table[:, counts.rows, index]
+        if top > cap:
+            over = values > cap
+            sums[:, over] += tails(phi[counts.rows[over], 0], cap, values[over])
+    return sums
+
+
+def _lgamma_terms(phi, j, out):
+    np.log1p(j / phi, out=out[0])
+
+
+def _lgamma_tails(phi, c, v):
+    """sum_{c<=j<v} log1p(j/phi) = log Gamma(y) - log Gamma(x) - (v-c) log phi
+    with x = phi + c and y = phi + v. Its (x - 1/2) log1p((v-c)/x) - (v-c)
+    rounds to an error of size (v-c) eps, far below what the log-likelihood
+    needs."""
+    x = phi + c
+    n = v - c
+    return (x - 0.5) * np.log1p(n / x) + n * (np.log1p(v / phi) - 1.0) + (
+        _stirling(x + n) - _stirling(x)
+    )
+
+
+def _psi_terms(phi, j, out):
+    """1/(phi+j), j/(phi+j), 1/(phi+j)^2 and j(2phi+j)/(phi+j)^2."""
+    inv = np.divide(1.0, phi + j, out=out[0])
+    np.multiply(j, inv, out=out[1])
+    np.multiply(inv, inv, out=out[2])
+    np.multiply((2.0 * phi + j) * j, out[2], out=out[3])
+
+
+def _psi_tails(phi, c, v):
+    """The sums of ``_psi_terms`` over c <= j < v: psi(y) - psi(x),
+    (v-c) - phi (psi(y) - psi(x)), psi'(x) - psi'(y) and
+    (v-c) - phi^2 (psi'(x) - psi'(y)), with x = phi + c and y = phi + v."""
+    x = phi + c
+    n = v - c
+    r = n / x
+    inv_x, psi_x, trigamma_x = _psi_rests(x)
+    inv_y, psi_y, trigamma_y = _psi_rests(x + n)
+    n_xy = r * inv_y
+    half = 0.5 * n_xy
+    log1p_r = np.log1p(r)
+    # psi(y) - psi(x) = log1p(r) + s, (v-c) - phi (psi(y) - psi(x)) =
+    # n c/x - phi (log1p(r) - r + s) and psi'(x) - psi'(y) = n/(xy) + t.
+    # For phi <= c, r >= 1/(2c) lies above every series cut, so there
+    # log1p(r) - r is taken directly.
+    s = half + (psi_x - psi_y)
+    t = half * (inv_x + inv_y) + (trigamma_x - trigamma_y)
+    large = (phi.max() if isinstance(phi, np.ndarray) else phi) > c
+    w = _log1p_minus(r, _series_cut(phi)) if large else log1p_r - r
+    out = np.empty((4, len(v)))
+    np.add(log1p_r, s, out=out[0])
+    np.subtract(n * (c / x), phi * (w + s), out=out[1])
+    np.add(n_xy, t, out=out[2])
+    np.subtract(n_xy * (phi * c + v * x), phi * phi * t, out=out[3])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Log-likelihood term
 # ---------------------------------------------------------------------------
 
-def _poisson_logpmf(mu, m, counts):
-    return m * np.log(mu) - mu - _of_counts(gammaln, 1.0, counts)
-
-
-def _nb2_logpmf(mu, phi, m, counts):
-    return (
-        _of_counts(gammaln, phi, counts)
-        - gammaln(phi)
-        - _of_counts(gammaln, 1.0, counts)
-        - (m + phi) * np.log1p(mu / phi)
-        + m * (np.log(mu) - np.log(phi))
-    )
+def _gamma_ratio(counts: DistinctCounts, phi):
+    """log Gamma(m+phi) - log Gamma(phi) - m log phi - log m! per record: the
+    count sum of log1p(j/phi), so nothing of size m log phi cancels, less
+    log m!."""
+    (sums,) = _count_sums(counts, phi, 1, _lgamma_terms, _lgamma_tails)
+    return (sums - counts.log_factorial)[counts.inverse]
 
 
 def _log_f0(family: Family, mu, phi):
@@ -285,22 +440,16 @@ def term_loglik_kernel(
         b = m + phi
         return m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
     counts = DistinctCounts.of(m) if counts is None else counts
-    if kind == "nb2-mixture":
-        return (
-            m * np.log(mu)
-            + phi * np.log(phi)
-            - _of_counts(gammaln, 1.0, counts)
-            - gammaln(phi)
-            - (m + phi) * np.log(mu + phi)
-            + _of_counts(gammaln, phi, counts)
-        )
     if fam.family is Family.POISSON:
-        ll = _poisson_logpmf(mu, m, counts)
+        ll = m * np.log(mu) - mu - counts.log_factorial[counts.inverse]
+    elif kind == "nb2-mixture":
+        # Poisson(m; mu phi/(mu+phi)) mixed by the gamma weight (phi/(mu+phi))^phi
+        x = mu / phi
+        return _gamma_ratio(counts, phi) + m * np.log(mu / (1.0 + x)) - phi * np.log1p(x)
     else:
-        ll = _nb2_logpmf(mu, phi, m, counts)
+        ll = _gamma_ratio(counts, phi) + m * np.log(mu) - (m + phi) * np.log1p(mu / phi)
     if fam.truncation is not Truncation.NONE:
-        d, lf0 = _trunc_normalizer(fam, mu, phi)
-        ll = ll - (_log1mexp(lf0) if fam.truncation is Truncation.ZERO else np.log(d))
+        ll = ll - np.log(_trunc_normalizer(fam, mu, phi)[0])
     return ll
 
 
@@ -333,7 +482,7 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
     # appears when m = 0 and phi < 1.
     shape = m + phi
     rate = mu + phi
-    const = m * np.log(mu) - gammaln(m + 1.0) + phi * np.log(phi) - gammaln(phi)
+    const = m * np.log(mu) - math.lgamma(m + 1.0) + phi * np.log(phi) - math.lgamma(phi)
     t_peak = np.log(shape / rate)
     w = np.sqrt(shape)  # curvature at the peak is -shape, so sd in t is 1/w
     log_scale = shape * t_peak - shape + const
@@ -430,28 +579,58 @@ class TermDerivs:
     d_muphi: np.ndarray | None = None
 
 
-def _poisson_derivs(mu, phi, m, counts):
-    return m / mu - 1.0, -m / mu**2, None, None, None
+def _poisson_derivs(mu, phi, m, counts, fam: CountFamily):
+    d_mu, d_mumu = m / mu - 1.0, -m / mu**2
+    if fam.truncation is Truncation.ZERO:  # q = mu
+        r, rr, d_mu = _zero_truncation(fam, mu, phi, m)
+        d_mumu = d_mumu + rr
+    return d_mu, d_mumu, None, None, None
 
 
-def _nb2_derivs(mu, phi, m, counts):
+def _dlogf0_dphi(x, cut):
+    """d/dphi of log f(0) = -phi log1p(mu/phi), at x = mu/phi:
+    x/(1+x) - log1p(x), below ``cut`` as -(log1p(x) - x) - x^2/(1+x),
+    without the cancellation of the two."""
+    out = x / (1.0 + x) - np.log1p(x)
+    small = x < cut
+    if small.any():
+        s = np.minimum(x, cut)
+        out = np.where(small, -(_log1p_minus(s, cut) + s * s / (1.0 + s)), out)
+    return out
+
+
+def _nb2_derivs(mu, phi, m, counts, fam: CountFamily):
+    counts = DistinctCounts.of(m) if counts is None else counts
     a = mu + phi
-    d_mu = m / mu - (m + phi) / a
-    d_mumu = -m / mu**2 + (m + phi) / a**2
-    d_phi = _of_counts(psi, phi, counts) - psi(phi) - np.log1p(mu / phi) + (mu - m) / a
-    # d/dphi of d_phi
-    d_phiphi = (
-        _of_counts(_trigamma, phi, counts)
-        - _trigamma(phi)
-        - 1.0 / a
-        + (m - mu) / a**2
-        + 1.0 / phi
+    a2 = a * a
+    d_mumu = -m / mu**2 + (m + phi) / a2
+    # d_phi = sum_{j<m} 1/(phi+j) - log1p(mu/phi) + (mu-m)/a and its
+    # derivative, written with the count sums of _psi_terms so that nothing
+    # of size m/phi cancels as phi grows, or of size 1/phi as it shrinks.
+    # h_phi and h_phiphi are the phi partials of log f(0).
+    sums = _count_sums(counts, phi, 4, _psi_terms, _psi_tails)
+    inv, share, inv2, share2 = sums[:, counts.inverse]
+    h_phi = _dlogf0_dphi(mu / phi, _series_cut(phi))
+    h_phiphi = mu * mu / (phi * a2)
+    d_phi = (mu * inv - share) / a + h_phi
+    d_phiphi = (share2 - mu * (2.0 * phi + mu) * inv2) / a2 + h_phiphi
+    d_muphi = (m - mu) / a2
+    if fam.truncation is not Truncation.ZERO:
+        return phi * (m - mu) / (mu * a), d_mumu, d_phi, d_phiphi, d_muphi
+    # less the partials of log(1 - f(0)), with q = -log f(0): r h' to each
+    # first and r h'' + r (1 + r) h' h' to each second partial
+    r, rr, score = _zero_truncation(fam, mu, phi, m)
+    dq_dmu = phi / a
+    return (
+        dq_dmu * score,
+        d_mumu + r * phi / a2 + rr * dq_dmu**2,
+        d_phi + r * h_phi,
+        d_phiphi + r * h_phiphi + rr * h_phi**2,
+        d_muphi - r * mu / a2 - rr * dq_dmu * h_phi,
     )
-    d_muphi = (m - mu) / a**2
-    return d_mu, d_mumu, d_phi, d_phiphi, d_muphi
 
 
-def _zhang_derivs(mu, phi, m, counts):
+def _zhang_derivs(mu, phi, m, counts, fam: CountFamily):
     a = mu + phi
     b = m + phi
     d_mu = m / mu - b / a
@@ -479,8 +658,8 @@ def _nb2_mass_derivs(mu, phi, which: int):
     a = mu + phi
     g_mu = -phi / a
     g_mumu = phi / a**2
-    g_phi = -np.log1p(mu / phi) + mu / a
-    g_phiphi = 1.0 / phi - 1.0 / a - mu / a**2
+    g_phi = _dlogf0_dphi(mu / phi, _series_cut(phi))
+    g_phiphi = mu**2 / (phi * a**2)
     g_muphi = -mu / a**2
     if which == 0:
         logf = _log_f0(Family.NB2, mu, phi)
@@ -490,8 +669,8 @@ def _nb2_mass_derivs(mu, phi, which: int):
         logf = _log_f1(Family.NB2, mu, phi)
         h_mu = g_mu + 1.0 / mu - 1.0 / a
         h_mumu = g_mumu - 1.0 / mu**2 + 1.0 / a**2
-        h_phi = g_phi + 1.0 / phi - 1.0 / a
-        h_phiphi = g_phiphi - 1.0 / phi**2 + 1.0 / a**2
+        h_phi = g_phi + mu / (phi * a)
+        h_phiphi = g_phiphi - mu * (2.0 * phi + mu) / (phi * a) ** 2
         h_muphi = g_muphi + 1.0 / a**2
     f = np.exp(logf)
     return (
@@ -503,14 +682,38 @@ def _nb2_mass_derivs(mu, phi, which: int):
     )
 
 
+def _inv_minus_inv_expm1(q, r):
+    """1/q - 1/expm1(q) for q > 0, given r = 1/expm1(q); below
+    ``_SERIES_CUT`` from its series 1/2 - q/12 + q^3/720."""
+    out = 1.0 / np.maximum(q, _SERIES_CUT) - r
+    if q.min() < _SERIES_CUT:
+        s = np.minimum(q, _SERIES_CUT)
+        out = np.where(q < _SERIES_CUT, 0.5 - s * (1 / 12 - s * s / 720), out)
+    return out
+
+
+def _zero_truncation(fam: CountFamily, mu, phi, m):
+    """(r, r (1 + r), m/mu - 1 - r) of a zero-truncated family, where
+    r = f(0)/(1 - f(0)) = 1/expm1(q) and q = -log f(0): the term's d/dq is
+    m/mu - 1 - r times dmu/dq. As mu -> 0, r ~ 1/mu cancels m/mu, so that is
+    taken as (m-1)/mu - 1 + (1/mu - 1/q) + (1/q - r). r is NaN where the
+    support has no mass."""
+    d, lf0 = _trunc_normalizer(fam, mu, phi)
+    r = np.where(d > 0, np.exp(lf0) / d, np.nan)
+    q = -lf0
+    score = (m - 1.0) / mu - 1.0 + _inv_minus_inv_expm1(q, r)
+    if fam.family is Family.NB2:  # 1/mu - 1/q = phi (log1p(x) - x)/(mu q)
+        score = score + phi * _log1p_minus(mu / phi) / (mu * q)
+    return r, r * (1.0 + r), score
+
+
 def _trunc_mass(fam: CountFamily, mu, phi):
-    """Partials (mu, mumu, phi, phiphi, muphi) of S = f(0) [+ f(1)]; the
-    normalizer is d = 1 - S."""
-    which = (0, 1) if fam.truncation is Truncation.ZERO_ONE else (0,)
+    """Partials (mu, mumu, phi, phiphi, muphi) of S = f(0) + f(1), for the
+    zero-one-truncated normalizer d = 1 - S."""
     if fam.family is Family.POISSON:
-        parts = [_poisson_mass_derivs(mu, w) for w in which]
+        parts = [_poisson_mass_derivs(mu, w) for w in (0, 1)]
     else:
-        parts = [_nb2_mass_derivs(mu, phi, w) for w in which]
+        parts = [_nb2_mass_derivs(mu, phi, w) for w in (0, 1)]
     return [sum(p[k] for p in parts) for k in range(5)]
 
 
@@ -536,13 +739,13 @@ def term_derivatives_kernel(
     """``term_derivatives`` without its checks, for the arguments that
     ``term_loglik_kernel`` takes. A truncated support without mass gives
     NaN derivatives instead of an error."""
-    counts = DistinctCounts.of(m) if counts is None else counts
     if kind == "zhang":
         base = _zhang_derivs
     else:
         base = _poisson_derivs if fam.family is Family.POISSON else _nb2_derivs
-    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = base(mu, phi, m, counts)
-    if fam.truncation is not Truncation.NONE:
+    derivs = base(mu, phi, m, counts, fam)
+    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = derivs
+    if fam.truncation is Truncation.ZERO_ONE:
         d = _trunc_normalizer(fam, mu, phi)[0]
         d = np.where(d > 0, d, np.nan)
         s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(fam, mu, phi)

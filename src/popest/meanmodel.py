@@ -180,13 +180,14 @@ class ModelData:
         object.__setattr__(self, "_W", W)
         object.__setattr__(self, "distinct", DistinctCounts.of(self.m))
 
-    def with_counts(self, m) -> "ModelData":
+    def with_counts(self, m, distinct: DistinctCounts | None = None) -> "ModelData":
         """The same strata with counts ``m``: shares every array of ``self``,
-        ``W`` included, and builds only its own ``m`` and distinct counts."""
+        ``W`` included, and builds only its own ``m`` and, unless they are
+        given as ``distinct``, its distinct counts."""
         out = copy.copy(self)
         m = _read_only(m)
         object.__setattr__(out, "m", m)
-        object.__setattr__(out, "distinct", DistinctCounts.of(m))
+        object.__setattr__(out, "distinct", DistinctCounts.of(m) if distinct is None else distinct)
         return out
 
     @property

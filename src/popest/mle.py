@@ -434,6 +434,7 @@ def fit_many(
     kind: str,
     start: np.ndarray,
     mask: np.ndarray | None = None,
+    counts: DistinctCounts | None = None,
 ) -> list[ParamVector | None]:
     """Pre-solve of many refits: the Newton iteration of ``fit_kind``
     (``_newton``) run in lockstep over the rows of a ``(B, n)`` count matrix
@@ -446,8 +447,8 @@ def fit_many(
     refit. Each iteration evaluates the score and Hessian of every row still
     iterating with one stacked call of the unchecked kernel, and each
     line-search probe their log-likelihoods the same way, with those rows'
-    share of the distinct counts of ``M``, which are sorted once; callers
-    keep ``M`` to ``presolve_rows`` rows.
+    share of the distinct counts of ``M`` (``counts``, sorted here once when
+    not given); callers keep ``M`` to ``presolve_rows`` rows.
 
     Returns, per row, the parameters where it met the stop rule, or None. A
     row that stalls, reaches ``max_iter``, has a count below the support, a
@@ -469,7 +470,7 @@ def fit_many(
     if has_phi:
         theta[:, -1] = np.log(theta[:, -1])
     theta = _clip_theta(theta, has_phi)
-    counts = DistinctCounts.of(M)
+    counts = DistinctCounts.of(M) if counts is None else counts
 
     def kept(a, rows):
         """``a`` with the terms of dropped strata set to 0."""

@@ -9,11 +9,11 @@ interval over order-statistic windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from .distributions import sample_many
+from .distributions import DistinctCounts, sample_many
 from .mle import (
     FIT_ERRORS,
     FitOptions,
@@ -45,7 +45,7 @@ def plugin_interval(fit: FittedModel, level: float = 0.95) -> tuple[float, float
         raise IntervalError("fit has no covariance; plug-in interval unavailable")
     n_alpha = len(fit.params.alpha)
     se_alpha = fit.se[:n_alpha]
-    z = ndtri(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     alpha_lo = fit.params.alpha - z * se_alpha
     alpha_hi = fit.params.alpha + z * se_alpha
     return (
@@ -55,14 +55,25 @@ def plugin_interval(fit: FittedModel, level: float = 0.95) -> tuple[float, float
 
 
 def percentile_interval(samples, level: float) -> tuple[float, float]:
-    """Empirical quantiles with the linear-interpolation rule h = (n-1)p + 1."""
+    """Empirical quantiles with the linear-interpolation rule h = (n-1)p + 1.
+
+    The arithmetic is that of ``np.quantile(..., method="linear")``, bit for
+    bit, written out because np.quantile calls np.unique, whose first call
+    imports numpy.ma, which no command otherwise loads.
+    """
     _check_level(level, whole_sample=True)
     x = np.asarray(samples, dtype=float)
-    x = x[np.isfinite(x)]
+    x = np.sort(x[np.isfinite(x)])
     if len(x) < 2:
         raise IntervalError(f"need at least 2 finite samples, got {len(x)}")
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(x, [tail, 1.0 - tail], method="linear")
+    h = (len(x) - 1) * np.array([tail, 1.0 - tail])
+    below = np.floor(h)
+    gamma = h - below
+    i = below.astype(np.intp)
+    a, b = x[i], x[np.minimum(i + 1, len(x) - 1)]
+    step = b - a
+    lo, hi = np.where(gamma >= 0.5, b - step * (1.0 - gamma), a + step * gamma)
     return float(lo), float(hi)
 
 
@@ -173,7 +184,9 @@ def parametric_bootstrap(
 
     Per replicate: draw eta* ~ MVN(eta_hat, Cov), compute xi*, regenerate
     counts from the fitted family at mu*, refit, record (xi*, xi_hat*).
-    Intervals are computed over the xi* draws; mse over the pairs.
+    The percentile and SPIN intervals are computed over the xi* draws of the
+    successful refits, and left out when fewer than 2 (10) succeeded; mse is
+    over their pairs, NaN when none succeeded.
 
     The replicates run in blocks of ``mle.presolve_rows`` replicates, so
     memory does not grow with B. The refits of a block run in two steps.
@@ -181,7 +194,8 @@ def parametric_bootstrap(
     pre-solve). Each replicate is then certified by its own ``fit_kind``
     call, which decides its status: from the pre-solved parameters when that
     row converged, where it typically stops after one score/Hessian
-    evaluation, and otherwise from ``fit.params``, the serial refit itself.
+    evaluation, and otherwise from ``fit.params``, the serial refit itself;
+    it takes its row's share of the block's distinct counts, sorted once.
     On panels of more than 1 024 strata, where fewer than 4 replicates fit
     in a block, there is no pre-solve and every refit is serial. Each replicate's draws come from its own
     generator, so results do not depend on the blocks.
@@ -201,20 +215,21 @@ def parametric_bootstrap(
         block = [_draw(b, seed, fit, root) for b in range(lo, min(lo + size, B))]
         if size > 1:
             counts = np.array([m for _, m, _ in block])
-            presolved = fit_many(md, counts, kind, fit.params.stacked())
+            distinct = DistinctCounts.of(counts)
+            presolved = fit_many(md, counts, kind, fit.params.stacked(), counts=distinct)
+            shares = distinct.split()
         else:
-            presolved = [None] * len(block)
-        for (xs, m, r), params in zip(block, presolved):
+            presolved = shares = [None] * len(block)
+        for (xs, m, r), params, share in zip(block, presolved, shares):
             xi_star.append(xs)
-            xi_hat.append(_refit(md.with_counts(m), kind, params or fit.params))
+            xi_hat.append(_refit(md.with_counts(m, share), kind, params or fit.params))
             redraws += r
 
     draws = [(xs, xh) for xs, xh in zip(xi_star, xi_hat) if xh is not None]
     failures = xi_hat.count(None)
 
-    xi_star_all = np.array(xi_star)
+    xs = np.array([d[0] for d in draws])
     if draws:
-        xs = np.array([d[0] for d in draws])
         xh = np.array([d[1] for d in draws])
         mse = float(np.mean((xh - xs) ** 2))
         rmse = float(np.sqrt(mse) / np.mean(xs)) if np.mean(xs) != 0 else float("nan")
@@ -222,12 +237,13 @@ def parametric_bootstrap(
         mse = float("nan")
         rmse = float("nan")
 
+    # The bootstrap intervals take the xi* draws of the successful refits
+    # only; with none, only the plug-in interval is reported.
     intervals = {"plugin": plugin_interval(fit, level)}
-    xs_successful = np.array([d[0] for d in draws]) if draws else xi_star_all
-    if len(xs_successful) >= 2:
-        intervals["percentile"] = percentile_interval(xs_successful, level)
-    if len(xs_successful) >= 10:
-        intervals["spin"] = spin_interval(xs_successful, level)
+    if len(xs) >= 2:
+        intervals["percentile"] = percentile_interval(xs, level)
+    if len(xs) >= 10:
+        intervals["spin"] = spin_interval(xs, level)
 
     return BootstrapResult(
         B=B,

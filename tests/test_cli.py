@@ -380,17 +380,40 @@ def test_simulate_byte_identical_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # The CLI needs only scipy.special; importing scipy.stats or
-    # scipy.integrate (which loads scipy.optimize) as well makes every
-    # invocation start later.
-    env = dict(os.environ, PYTHONPATH=str(Path(popest.__file__).resolve().parents[1]))
-    code = (
-        "import sys, popest.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules])"
-    )
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # No command needs scipy: it is imported only by the quadrature oracle
+    # mixture_pmf_oracle and by the tests. Importing it would make every
+    # invocation start later, so neither importing popest.cli nor running
+    # boot, simulate, compare and diagnose in one process may load any scipy
+    # module. Nor numpy.ma, which scipy used to load first: np.quantile and
+    # np.unique without return_inverse import it on their first call,
+    # inside a command.
+    src = Path(popest.__file__).resolve().parents[1]
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = f"""
+import json, sys
+import popest.cli
+unwanted = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+loaded = {{"import": unwanted()}}
+sys.path.insert(0, {str(bench)!r})
+import inputs
+data = {str(tmp_path / "panel.csv")!r}
+inputs.write(data, inputs.panel_csv(0, 1, 20, 3))
+d = ["--data", data, "--schema", inputs.SCHEMA]
+out = {str(tmp_path)!r}
+codes = [popest.cli.main(argv) for argv in (
+    ["boot", *d, "--dist", "ztnb2", "-B", "10", "--output", out + "/boot.json"],
+    ["simulate", "--phi", "2.5", "-B", "4", "--strata", "30", "--output", out + "/sim.csv"],
+    ["compare", *d, "--dists", "po,ztpo,nb2,ztnb2", "--output", out + "/compare.csv"],
+    ["diagnose", *d, "--dist", "ztnb2", "--output", out + "/diagnose.json"],
+)]
+loaded["commands"] = unwanted()
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == {"import": [], "commands": []}

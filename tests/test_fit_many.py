@@ -34,7 +34,7 @@ def converge_no_row(monkeypatch, module):
     """Make ``module.fit_many`` converge no row, so that every replicate is
     refitted from its own start: the serial path."""
 
-    def fit_many(md, M, kind, start, mask=None):
+    def fit_many(md, M, kind, start, mask=None, counts=None):
         return [None] * len(M)
 
     monkeypatch.setattr(module, "fit_many", fit_many)
@@ -136,9 +136,9 @@ def count_presolves(monkeypatch, module) -> list:
     """The number of rows of every ``module.fit_many`` call."""
     real, rows = module.fit_many, []
 
-    def fit_many(md, M, kind, start, mask=None):
+    def fit_many(md, M, kind, start, mask=None, counts=None):
         rows.append(len(M))
-        return real(md, M, kind, start, mask)
+        return real(md, M, kind, start, mask, counts)
 
     monkeypatch.setattr(module, "fit_many", fit_many)
     return rows
@@ -213,7 +213,7 @@ def test_row_kernels_equal_one_call_per_row(kind, seed, B, n):
 def _assert_same_counts(got, want):
     for name in DistinctCounts._fields:
         x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert (x is None and y is None) or (x.dtype == y.dtype and np.array_equal(x, y)), name
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -230,6 +230,18 @@ def test_block_counts_equal_the_counts_of_the_rows(seed, B, n, top, data):
     M = np.random.default_rng(seed).integers(0, top + 1, (B, n)).astype(float)
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, B - 1), min_size=1))))
     _assert_same_counts(DistinctCounts.of(M).take_rows(rows), DistinctCounts.of(M[rows]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 8), n=st.integers(1, 30), top=st.integers(0, 200))
+def test_each_rows_share_equals_the_counts_of_that_row(seed, B, n, top):
+    # A certify call takes its row's share of the block's distinct counts in
+    # 1-d form, instead of sorting the row again.
+    M = np.random.default_rng(seed).integers(0, top + 1, (B, n)).astype(float)
+    shares = DistinctCounts.of(M).split()
+    assert len(shares) == B
+    for b, share in enumerate(shares):
+        _assert_same_counts(share, DistinctCounts.of(M[b]))
 
 
 def test_fit_many_evaluates_with_the_counts_of_its_rows(monkeypatch):
@@ -328,10 +340,10 @@ def test_bootstrap_with_an_unfinished_presolve_equals_the_serial_refits(monkeypa
     boot_fit = _boot_fit(11, "ztnb2")
     real, seen = uncertainty.fit_many, []
 
-    def cut_short(md, M, kind, start, mask=None):
+    def cut_short(md, M, kind, start, mask=None, counts=None):
         with monkeypatch.context() as mp:
             max_iter(mp, 2)
-            presolved = real(md, M, kind, start, mask)
+            presolved = real(md, M, kind, start, mask, counts)
         seen.append(sum(p is not None for p in presolved))
         return presolved
 

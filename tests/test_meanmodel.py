@@ -296,7 +296,8 @@ def test_chain_rule_doubling_N():
 )
 def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
     # A line-search probe needs the log-likelihood only: it must give the
-    # summed term_loglik exactly without evaluating psi or trigamma (zeta).
+    # summed term_loglik exactly without evaluating the count sums that stand
+    # for psi or trigamma, which only the derivatives use.
     md, theta, has_phi = _random_instance(kind, np.random.default_rng(17))
     params = ParamVector(theta[:1], theta[1:2], phi=float(theta[2]) if has_phi else None)
     expect = float(np.sum(term_loglik(kind, md.mu_values(params), params.phi, md.m)))
@@ -304,8 +305,8 @@ def test_loglik_kind_skips_derivative_kernel(kind, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("log-likelihood evaluation reached the derivative kernel")
 
-    monkeypatch.setattr(distributions, "psi", forbidden)
-    monkeypatch.setattr(distributions, "zeta", forbidden)
+    for name in ("_psi_terms", "_psi_tails"):
+        monkeypatch.setattr(distributions, name, forbidden)
     assert loglik_kind(md, kind, params) == expect
 
 

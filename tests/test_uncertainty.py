@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from popest import uncertainty
 from popest.dataio import Dataset, StratumRecord
-from popest.distributions import CountFamily
+from popest.distributions import CountFamily, DistinctCounts
 from popest.meanmodel import DesignSpec, ModelSpec
 from popest.mle import fit
 from popest.uncertainty import (
@@ -17,7 +18,7 @@ from popest.uncertainty import (
     spin_interval,
 )
 
-from conftest import fail_refits, manual_fit
+from conftest import fail_refits, manual_fit, synth_dataset
 
 
 def one_country_fit(alpha_se: float):
@@ -97,6 +98,17 @@ def test_percentile_linear_interpolation_rule():
     # h = (n-1)p + 1: lower h = 3.475 -> 3.475, upper h = 95.025 + ... = 97.525
     assert lo == pytest.approx(3.475, abs=1e-12)
     assert hi == pytest.approx(97.525, abs=1e-12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    samples=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
+    level=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([0.5, 0.9, 0.95, 1.0])),
+)
+def test_percentile_interval_is_numpys_linear_quantile(samples, level):
+    tail = (1.0 - level) / 2.0
+    want = np.quantile(np.array(samples), [tail, 1.0 - tail], method="linear")
+    assert percentile_interval(samples, level) == (float(want[0]), float(want[1]))
 
 
 def test_percentile_full_level():
@@ -227,3 +239,35 @@ def test_bootstrap_failed_refits_are_counted_and_left_out(boot_fit, monkeypatch,
     assert res.intervals["percentile"] == percentile_interval(xs, 0.95)
     assert res.intervals["spin"] == spin_interval(xs, 0.95)
     assert res.intervals["plugin"] == clean.intervals["plugin"]
+
+
+def test_bootstrap_with_every_refit_failed_reports_only_the_plugin_interval(monkeypatch):
+    # Percentile and SPIN intervals come from the successful refits' xi*
+    # draws; with none, they are not reported, rather than taken from the
+    # draws of failed replicates.
+    data = synth_dataset(11, 40)
+    fitted = fit(data, ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec()))
+    fail_refits(monkeypatch, uncertainty, lambda kind, i: "raise")
+    res = parametric_bootstrap(fitted, B=20, seed=6)
+    assert set(res.intervals) == {"plugin"}
+    assert res.draws == []
+    assert res.failures == 20
+    assert np.isnan(res.mse)
+    assert res.unreliable
+
+
+def test_bootstrap_sorts_each_blocks_counts_once(boot_fit, monkeypatch):
+    # Every certify call takes its row's share of the block's distinct
+    # counts: one sort per block, none per replicate.
+    sorted_shapes = []
+    real = DistinctCounts.of
+
+    def counted(m):
+        sorted_shapes.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(DistinctCounts, "of", staticmethod(counted))
+    expect = parametric_bootstrap(boot_fit, B=20, seed=13)
+    monkeypatch.setattr(DistinctCounts, "of", staticmethod(real))
+    assert sorted_shapes == [(20, len(boot_fit.data.m))]
+    assert parametric_bootstrap(boot_fit, B=20, seed=13).to_dict() == expect.to_dict()
