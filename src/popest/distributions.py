@@ -467,8 +467,8 @@ def mixture_pmf_oracle(mu: float, phi: float, m: int) -> float:
     """P(m) under Poisson(mu*u) mixed over u ~ Gamma(shape=phi, rate=phi).
 
     Evaluated by adaptive quadrature of the mixing integral; used as an
-    independent cross-check on the NB2 closed form. ``scipy.integrate`` is
-    imported here, so that importing the package does not load it.
+    independent cross-check on the NB2 closed form. Needs scipy (only the
+    ``test`` extra installs it), imported here rather than with the package.
     """
     from scipy import integrate
 

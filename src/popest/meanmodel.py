@@ -5,7 +5,9 @@ full-data log-likelihood with its analytic score and Hessian. Since
 log mu = (x'alpha) log N + (z'beta) log(n/N), the stacked covariate vector
 w = [x * log N, z * log(n/N)] makes log mu linear in gamma = (alpha, beta),
 and the chain rule through mu gives every derivative from the per-record
-(mu, phi) derivatives supplied by the distribution kernel.
+(mu, phi) derivatives supplied by the distribution kernel. That assembly,
+``_chain_rule``, is written once, for one row and for the stacks of rows
+that ``mle.fit_many`` iterates on.
 """
 
 from __future__ import annotations
@@ -242,28 +244,44 @@ def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
 def score_and_hessian_kind(
     md: ModelData, kind: str, params: ParamVector
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and Hessian on the natural (alpha, beta, phi) scale."""
+    """Analytic gradient and Hessian on the natural (alpha, beta[, phi])
+    scale: the checked ``term_derivatives``, then ``_chain_rule``. A phi
+    given for a kind without dispersion is ignored, as in ``loglik_kind``;
+    a non-finite entry raises ``NumericalError``."""
     mu_vals = md.mu_values(params)
     t = term_derivatives(kind, mu_vals, params.phi, md.m, counts=md.distinct)
-    W = md.W
-    has_phi = params.phi is not None
-    p = W.shape[1]
-    k = p + (1 if has_phi else 0)
-    g = np.zeros(k)
-    H = np.zeros((k, k))
-    # d log mu / d gamma = w, so dl/dgamma = (dl/dmu) mu w and
-    # d2l/dgamma2 = (d2l/dmu2 mu^2 + dl/dmu mu) w w'.
-    a1 = t.d_mu * mu_vals
-    a2 = t.d_mumu * mu_vals**2 + a1
-    g[:p] = W.T @ a1
-    H[:p, :p] = W.T @ (W * a2[:, None])
-    if has_phi:
-        g[p] = t.d_phi.sum()
-        H[p, p] = t.d_phiphi.sum()
-        cross = W.T @ (t.d_muphi * mu_vals)
-        H[:p, p] = cross
-        H[p, :p] = cross
+    g, H = _chain_rule(md.W, mu_vals, t)
     if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise NumericalError("non-finite score or Hessian entries")
     return g, H
 
+
+def _chain_rule(W, mu, t, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Score ``(..., k)`` and Hessian ``(..., k, k)`` on the natural scale
+    from the per-record derivatives ``t`` (``TermDerivs``) at ``mu``: ``(n,)``
+    for one row, ``(B, n)`` for a stack, on the covariates ``W``. phi has a
+    row and column where ``t`` has phi derivatives (the family has a
+    dispersion). Only the records that ``keep``, if given, marks enter the
+    sums. Nothing is checked: a kept mu of 0 or inf gives NaN or inf."""
+
+    def kept(a):
+        return a if keep is None else np.where(keep, a, 0.0)
+
+    p = W.shape[1]
+    has_phi = t.d_phi is not None
+    k = p + int(has_phi)
+    g = np.empty(mu.shape[:-1] + (k,))
+    H = np.empty(mu.shape[:-1] + (k, k))
+    # d log mu / d gamma = w, so dl/dgamma = (dl/dmu) mu w and
+    # d2l/dgamma2 = (d2l/dmu2 mu^2 + dl/dmu mu) w w'.
+    a1 = t.d_mu * mu
+    a2 = kept(t.d_mumu * mu**2 + a1)
+    g[..., :p] = kept(a1) @ W
+    H[..., :p, :p] = W.T @ (W * a2[..., None])
+    if has_phi:
+        g[..., p] = np.sum(kept(t.d_phi), axis=-1)
+        H[..., p, p] = np.sum(kept(t.d_phiphi), axis=-1)
+        cross = kept(t.d_muphi * mu) @ W
+        H[..., :p, p] = cross
+        H[..., p, :p] = cross
+    return g, H

@@ -28,6 +28,7 @@ from .meanmodel import (
     ModelData,
     ModelSpec,
     ParamVector,
+    _chain_rule,
     loglik_kind,
     prepare,
     score_and_hessian_kind,
@@ -200,20 +201,6 @@ class FittedModel:
         return out
 
 
-def _internal_grad_hess(md, kind, theta, n_alpha, n_beta, has_phi):
-    params = _params_from_internal(theta, n_alpha, n_beta, has_phi)
-    g, H = score_and_hessian_kind(md, kind, params)
-    if has_phi:
-        phi = params.phi
-        p = n_alpha + n_beta
-        g_phi = g[p]
-        g[p] = phi * g_phi
-        H[:p, p] *= phi
-        H[p, :p] *= phi
-        H[p, p] = phi**2 * H[p, p] + phi * g_phi
-    return g, H
-
-
 def _params_from_internal(theta, n_alpha, n_beta, has_phi) -> ParamVector:
     """Internal theta carries log(phi) in its last slot, clipped by
     ``_clip_theta``."""
@@ -221,6 +208,18 @@ def _params_from_internal(theta, n_alpha, n_beta, has_phi) -> ParamVector:
     if has_phi:
         pv.phi = float(np.exp(theta[-1]))
     return pv
+
+
+def _log_phi_scale(g, H, phi):
+    """A stack's score ``g`` ``(r, k)`` and Hessian ``H`` ``(r, k, k)``
+    moved in place to the internal scale, whose last parameter is log(phi);
+    ``phi`` ``(r, 1)`` holds each row's phi, None for a family without."""
+    if phi is not None:
+        H[:, -1, -1] = phi[:, 0] ** 2 * H[:, -1, -1] + phi[:, 0] * g[:, -1]
+        H[:, :-1, -1] *= phi
+        H[:, -1, :-1] *= phi
+        g[:, -1:] *= phi
+    return g, H
 
 
 def _clip_theta(theta, has_phi):
@@ -384,8 +383,10 @@ def fit_kind(
     def grad_hess(rows, th):
         nonlocal it, g, H
         it += 1
-        g, H = _internal_grad_hess(md, kind, th[0], n_alpha, n_beta, has_phi)
-        return g[None], H[None]
+        params = _params_from_internal(th[0], n_alpha, n_beta, has_phi)
+        g, H = score_and_hessian_kind(md, kind, params)
+        # scaled through their views, g and H are on the internal scale too
+        return _log_phi_scale(g[None], H[None], np.exp(th[:, -1:]) if has_phi else None)
 
     ll = objective(None, theta)
     if not np.isfinite(ll[0]):
@@ -445,10 +446,11 @@ def fit_many(
     dropped stratum must hold a count valid for ``kind`` and is left out of
     every sum. The settings are ``FitOptions()``, those of every replicate
     refit. Each iteration evaluates the score and Hessian of every row still
-    iterating with one stacked call of the unchecked kernel, and each
-    line-search probe their log-likelihoods the same way, with those rows'
-    share of the distinct counts of ``M`` (``counts``, sorted here once when
-    not given); callers keep ``M`` to ``presolve_rows`` rows.
+    iterating with one stacked call of the unchecked kernel, assembled as for
+    ``fit_kind`` (``_chain_rule``, ``_log_phi_scale``), and each line-search
+    probe their log-likelihoods the same way, with those rows' share of the
+    distinct counts of ``M`` (``counts``, sorted here once when not given);
+    callers keep ``M`` to ``presolve_rows`` rows.
 
     Returns, per row, the parameters where it met the stop rule, or None. A
     row that stalls, reaches ``max_iter``, has a count below the support, a
@@ -472,42 +474,21 @@ def fit_many(
     theta = _clip_theta(theta, has_phi)
     counts = DistinctCounts.of(M) if counts is None else counts
 
-    def kept(a, rows):
-        """``a`` with the terms of dropped strata set to 0."""
-        return a if mask is None else np.where(mask[rows], a, 0.0)
-
     def loglik(rows, th):
-        m = M[rows]
         phi = np.exp(th[:, p:]) if has_phi else None
         mu = np.exp(th[:, :p] @ W.T)
-        terms = term_loglik_kernel(fam, kind, mu, phi, m, counts.take_rows(rows))
-        return np.sum(kept(terms, rows), axis=1)
+        terms = term_loglik_kernel(fam, kind, mu, phi, M[rows], counts.take_rows(rows))
+        return np.sum(terms if mask is None else np.where(mask[rows], terms, 0.0), axis=1)
 
     def grad_hess(rows, th):
-        """Score and Hessian on the internal (log phi) scale, as
-        ``_internal_grad_hess`` forms them."""
-        m = M[rows]
+        """Score and Hessian on the internal (log phi) scale. A kept mu of 0
+        or inf, which fit_kind's checks reject, makes entries NaN or
+        infinite."""
         mu = np.exp(th[:, :p] @ W.T)
         phi = np.exp(th[:, p:]) if has_phi else None
-        t = term_derivatives_kernel(fam, kind, mu, phi, m, counts.take_rows(rows))
-        a1 = kept(t.d_mu * mu, rows)
-        a2 = kept(t.d_mumu * mu**2 + t.d_mu * mu, rows)
-        g = np.empty((len(m), k))
-        H = np.empty((len(m), k, k))
-        g[:, :p] = a1 @ W
-        H[:, :p, :p] = (W.T * a2[:, None, :]) @ W
-        if has_phi:
-            phi = phi[:, 0]
-            g_phi = np.sum(kept(t.d_phi, rows), axis=1)
-            h_phi = np.sum(kept(t.d_phiphi, rows), axis=1)
-            cross = (kept(t.d_muphi * mu, rows) @ W) * phi[:, None]
-            g[:, p] = phi * g_phi
-            H[:, :p, p] = cross
-            H[:, p, :p] = cross
-            H[:, p, p] = phi**2 * h_phi + phi * g_phi
-        # A kept mu of 0 or inf, which fit_kind's checks reject, makes a1 or
-        # a2, and so g or H, NaN or infinite.
-        return g, H
+        t = term_derivatives_kernel(fam, kind, mu, phi, M[rows], counts.take_rows(rows))
+        g, H = _chain_rule(W, mu, t, None if mask is None else mask[rows])
+        return _log_phi_scale(g, H, phi)
 
     ll = np.full(len(M), -np.inf)
     supported = M >= fam.support_min

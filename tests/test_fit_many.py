@@ -19,8 +19,10 @@ from popest.distributions import (
     term_derivatives_kernel,
     term_loglik_kernel,
 )
-from popest.meanmodel import DesignSpec, ModelData, ModelSpec, ParamVector, prepare
-from popest.mle import FitOptions, _internal_grad_hess, fit, fit_kind, fit_many, linearized_start
+from popest.meanmodel import (
+    DesignSpec, ModelData, ModelSpec, ParamVector, _chain_rule, prepare, score_and_hessian_kind,
+)
+from popest.mle import FitOptions, _log_phi_scale, fit, fit_kind, fit_many, linearized_start
 from popest.simulation import PARAMETERS, SimDesign, run_simulation, synthetic_population
 from popest.uncertainty import parametric_bootstrap
 
@@ -210,6 +212,50 @@ def test_row_kernels_equal_one_call_per_row(kind, seed, B, n):
                 np.testing.assert_allclose(got[b], want, rtol=1e-13, atol=0, err_msg=name)
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 5),
+    n=st.integers(1, 30),
+    masked=st.booleans(),
+)
+def test_stacked_chain_rule_equals_one_call_per_row(kind, seed, B, n, masked):
+    # The score and Hessian that fit_many assembles for a (B, n) stack, with
+    # one phi per row and with or without a keep-mask, are those of one
+    # score_and_hessian_kind call per row on its kept strata.
+    rng = np.random.default_rng(seed)
+    fam = kind_family(kind)
+    log_N = rng.uniform(np.log(50.0), np.log(5000.0), n)
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, n)])
+    md = ModelData(
+        m=np.ones(n), log_N=log_N, log_ratio=np.log(rng.uniform(0.05, 0.6, n)),
+        X=X, Z=np.ones((n, 1)), index=[],
+    )
+    gamma = np.column_stack(
+        [rng.uniform(0.3, 1.0, B), rng.uniform(-0.2, 0.2, B), rng.uniform(0.2, 1.0, B)]
+    )
+    phi = np.exp(rng.uniform(np.log(0.05), np.log(1e3), (B, 1))) if fam.has_dispersion else None
+    keep = rng.random((B, n)) < 0.7 if masked else np.ones((B, n), dtype=bool)
+    keep[:, 0] = True
+    M = np.where(keep, fam.support_min + rng.integers(0, 40, (B, n)), fam.support_min).astype(float)
+    params = [
+        ParamVector(gamma[b, :2], gamma[b, 2:], None if phi is None else float(phi[b, 0]))
+        for b in range(B)
+    ]
+    mu = np.array([md.mu_values(pv) for pv in params])
+    t = term_derivatives_kernel(fam, kind, mu, phi, M, DistinctCounts.of(M))
+    g, H = _chain_rule(md.W, mu, t, keep if masked else None)
+    for b in range(B):
+        k = keep[b]
+        md_b = ModelData(
+            m=M[b][k], log_N=md.log_N[k], log_ratio=md.log_ratio[k], X=md.X[k], Z=md.Z[k], index=[]
+        ) if masked else md.with_counts(M[b])
+        want_g, want_H = score_and_hessian_kind(md_b, kind, params[b])
+        np.testing.assert_allclose(g[b], want_g, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(H[b], want_H, rtol=1e-13, atol=0)
+
+
 def _assert_same_counts(got, want):
     for name in DistinctCounts._fields:
         x, y = getattr(got, name), getattr(want, name)
@@ -315,8 +361,10 @@ def test_rows_fit_many_cannot_finish_take_the_serial_path():
 
 
 def _internal_hessian(md_b, start):
-    theta = np.array([start[0], start[1], np.log(start[2])])
-    return _internal_grad_hess(md_b, "nb2", theta, 1, 1, True)[1]
+    """The nb2 Hessian at ``start`` on the log(phi) scale that Newton
+    iterates on."""
+    g, H = score_and_hessian_kind(md_b, "nb2", _start(start))
+    return _log_phi_scale(g[None], H[None], np.array([[start[2]]]))[1][0]
 
 
 def max_iter(monkeypatch, n):

@@ -225,6 +225,22 @@ def test_score_vanishes_at_m_equals_mu(kind):
     assert np.allclose(g[:2], 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["po", "ztpo", "zotpo"])
+def test_phi_given_for_a_poisson_kind_is_ignored(kind):
+    # A kind without a dispersion takes no phi row: a phi given anyway leaves
+    # the score and Hessian as they are without it, as it leaves the
+    # log-likelihood.
+    md = prepare(synth_dataset(11, 40, token="zotpo"), DesignSpec())
+    alpha, beta = np.array([0.7]), np.array([0.8])
+    with_phi = ParamVector(alpha, beta, phi=2.5)
+    without = ParamVector(alpha, beta)
+    expected = score_and_hessian_kind(md, kind, without)
+    for got, want in zip(score_and_hessian_kind(md, kind, with_phi), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert loglik_kind(md, kind, with_phi) == loglik_kind(md, kind, without)
+
+
 def _random_instance(kind, rng, n_records=8):
     fam_phi = kind_needs_phi(kind)
     records = []
