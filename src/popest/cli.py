@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import dataio, diagnostics, mle, simulation, uncertainty
 from .distributions import _FAMILY_TOKENS, CountFamily, ParameterError, SupportError
@@ -54,7 +55,7 @@ def _load_dataset(args) -> dataio.Dataset:
         data = dataio.pad_empty_domain(data, _parse_pad(pad))
     data, audit = dataio.apply_model_conditions(data)
     if args.audit:
-        _write(audit.to_json() + "\n", args.audit)
+        _write([audit.to_json(), "\n"], args.audit)
     elif not audit.empty:
         print(audit.to_json(), file=sys.stderr)
     return data
@@ -72,13 +73,14 @@ def _load_and_fit(args) -> mle.FittedModel:
     return mle.fit(data, _model_spec(args.dist, args.alpha_cov, args.beta_cov))
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write a report, which ends in a newline, to ``path`` or stdout."""
+def _write(pieces, path: str | None) -> None:
+    """Write a report's pieces of text, which end in a newline, to ``path`` or
+    stdout as they are formatted; the report exists before the file is opened."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -105,7 +107,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 def cmd_fit(args) -> int:
     fitted = _load_and_fit(args)
-    _write(dataio.dumps(fitted.to_dict()) + "\n", args.output)
+    _write([dataio.dumps(fitted.to_dict()), "\n"], args.output)
     if not fitted.convergence.converged and not args.allow_nonconverged:
         print("fit did not converge", file=sys.stderr)
         return 1
@@ -136,7 +138,7 @@ def cmd_compare(args) -> int:
     header = ["dist", "alpha_covariates", "loglik", "aic", "bic", "xi_hat", "status"]
     rows = [(dist, label, *(f"{v:.4f}" for v in numbers), status)
             for dist, label, *numbers, status in rows]
-    _write(dataio.csv_text(header, rows), args.output)
+    _write(dataio.csv_lines(header, rows), args.output)
     return 0
 
 
@@ -156,9 +158,9 @@ def cmd_boot(args) -> int:
     )
     report = result.to_dict() | {"xi_hat": fitted.xi_hat}
     if args.draws_path:
-        _write(dataio.csv_text(["xi_star", "xi_hat_star"], result.draws), args.draws_path)
+        _write(dataio.csv_lines(["xi_star", "xi_hat_star"], result.draws), args.draws_path)
         report["draws_path"] = args.draws_path
-    _write(dataio.dumps(report) + "\n", args.output)
+    _write([dataio.dumps(report), "\n"], args.output)
     return 0
 
 
@@ -167,12 +169,12 @@ def cmd_diagnose(args) -> int:
         raise UsageError("--top-k must be nonnegative")
     fitted = _load_and_fit(args)
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
-    _write(report.to_json() + "\n", args.output)
+    _write(chain(report.json_pieces(), ["\n"]), args.output)
     if args.csv:
         header = ["period", "country", "domain", "m", "mu_hat", "residual"]
         rows = zip(report.period, report.country, map("|".join, report.domain),
                    report.m, report.mu_hat, report.residual)
-        _write(dataio.csv_text(header, rows), args.csv)
+        _write(dataio.csv_lines(header, rows), args.csv)
     return 0
 
 
@@ -200,7 +202,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # an unknown --variants name
         raise UsageError(str(exc)) from None
     report = simulation.run_simulation(design)
-    _write(report.to_csv(), args.output)
+    _write([report.to_csv()], args.output)
     return 0
 
 

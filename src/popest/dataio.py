@@ -4,21 +4,26 @@ Reads CSV files with per-stratum counts (m apprehended once, n in the police
 register, N registered population), enforces the model's data conditions
 (m > 0, n > 0, n/N < 1), aggregates nonconforming strata into a
 pseudo-country, and optionally pads an empty domain with one apprehension.
-Every JSON report is written by ``dumps`` and every CSV report by ``csv_text``.
+Parsing keeps no rows: they are read a block at a time into the columns.
+Every JSON report is written by ``json_pieces`` and every CSV report by
+``csv_lines``; both yield their text in pieces as they format it, so a
+report's text is never held whole unless a caller joins it (``dumps``).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
+_BLOCK = 4096  # rows parsed, or written as JSON, at a time
 PSEUDO_COUNTRY = "other"  # country label of the records that pool nonconforming strata
 
 
@@ -190,50 +195,64 @@ def _json_values(values: list, depth: int) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-def _json_rows(shape, columns) -> str:
+def _json_rows(shape, columns):
     """The text json writes at a top-level key for a list of rows, each row
     ``shape`` with its leaves (names of ``columns``) replaced by the row's
-    values: one ``%`` per row of a template json wrote for the shape, with
-    its slots in json's order (dict keys sorted) and each value at its depth."""
-    leaves = []
+    values, in pieces of ``_BLOCK`` rows: one ``%`` per row of a template json
+    wrote for the shape, with its slots in json's order (dict keys sorted) and
+    each leaf column's slice formatted at its depth."""
+    leaves = []  # (column name, depth) per slot
 
     def slotted(node, depth):  # a row sits 2 levels deep
         if isinstance(node, dict):
             return {k: slotted(node[k], depth + 1) for k in sorted(node)}
         if isinstance(node, (list, tuple)):
             return [slotted(v, depth + 1) for v in node]
-        leaves.append(_json_values(columns[node], depth))
+        leaves.append((node, depth))
         return "\x00"
 
     template = "    " + _json_text(slotted(shape, 2), 2).replace("%", "%%")
     template = template.replace(json.dumps("\x00"), "%s")
-    rows = [template % row for row in zip(*leaves)]
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    n = min((len(columns[name]) for name, _ in leaves), default=0)
+    if not n:
+        yield "[]"
+        return
+    yield "[\n"
+    for start in range(0, n, _BLOCK):
+        block = [_json_values(columns[name][start:start + _BLOCK], depth) for name, depth in leaves]
+        yield (",\n" if start else "") + ",\n".join([template % row for row in zip(*block)])
+    yield "\n  ]"
+
+
+def json_pieces(report: dict, tables: dict | None = None):
+    """The text of ``json.dumps(report | rows, indent=2, sort_keys=True)`` in
+    pieces, without building the rows: ``tables`` maps a top-level key to
+    ``(shape, columns)``, and its rows are ``shape`` (dicts and lists) with
+    each leaf, a name of ``columns``, replaced by the row's value in that
+    column. A table's rows are written ``_BLOCK`` at a time."""
+    tables = tables or {}
+    rest = _json_text(report | dict.fromkeys(tables))
+    for key in sorted(tables):  # json's order of the top-level keys
+        # only a top-level key's line opens with two spaces and a quote (json escapes newlines)
+        line = f"\n  {json.dumps(key)}: "
+        head, rest = rest.split(line + "null", 1)
+        yield head + line
+        yield from _json_rows(*tables[key])
+    yield rest
 
 
 def dumps(report: dict, tables: dict | None = None) -> str:
-    """``json.dumps(report | rows, indent=2, sort_keys=True)`` without building
-    the rows: ``tables`` maps a top-level key to ``(shape, columns)``, and its
-    rows are ``shape`` (dicts and lists) with each leaf, a name of
-    ``columns``, replaced by the row's value in that column."""
-    tables = tables or {}
-    text = _json_text(report | dict.fromkeys(tables))
-    for key, (shape, columns) in tables.items():
-        # only a top-level key's line opens with two spaces and a quote (json escapes newlines)
-        line = f"\n  {json.dumps(key)}: "
-        text = text.replace(line + "null", line + _json_rows(shape, columns), 1)
-    return text
+    """The joined ``json_pieces``."""
+    return "".join(json_pieces(report, tables))
 
 
-def csv_text(header: list, rows) -> str:
-    """The CSV text of ``header`` and ``rows``: ``csv.writer`` with Unix line
-    ends, quoting a field only when it holds a comma, a double quote or a
-    line break."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+def csv_lines(header: list, rows):
+    """The lines of the CSV of ``header`` and ``rows``, each formatted as it
+    is read: ``csv.writer`` on a file whose ``write`` returns the line, so
+    ``writerow`` does, with Unix line ends, quoting a field only when it holds
+    a comma, a double quote or a line break."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return map(writer.writerow, chain([header], rows))
 
 
 @dataclass
@@ -277,26 +296,33 @@ def _parse_count(raw: str, column: str, row_number: int) -> int:
     return value
 
 
-def _raise_first_error(rows: list, header: list, needed: dict, at: dict, i_domain: list) -> None:
-    """Walk ``rows`` and raise the error of the first bad one, numbered as in
-    the file (the header is row 1; blank lines are skipped, not numbered)."""
+def _raise_first_error(path: str, needed: dict, at: dict, i_domain: list) -> None:
+    """Read ``path`` again and raise the error of its first bad row, numbered
+    as in the file (the header is row 1; blank lines are skipped, not
+    numbered); return at a line that cannot be read, or at the end."""
     seen: set[tuple] = set()
-    for row_number, row in enumerate(rows, start=2):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
         try:
-            key = (
-                row[at["period"]].strip(),
-                row[at["country"]].strip(),
-                tuple([row[i].strip() for i in i_domain]),
-            )
-            for k in _COUNTS:
-                _parse_count(row[at[k]], needed[k], row_number)
-        except IndexError:
-            raise ParseError(
-                f"row {row_number}: has {len(row)} fields, the header has {len(header)}"
-            ) from None
-        if key in seen:
-            raise DuplicateKeyError(f"row {row_number}: duplicate key {key}")
-        seen.add(key)
+            for row_number, row in enumerate(filter(None, reader), start=2):
+                try:
+                    key = (
+                        row[at["period"]].strip(),
+                        row[at["country"]].strip(),
+                        tuple([row[i].strip() for i in i_domain]),
+                    )
+                    for k in _COUNTS:
+                        _parse_count(row[at[k]], needed[k], row_number)
+                except IndexError:
+                    raise ParseError(
+                        f"row {row_number}: has {len(row)} fields, the header has {width}"
+                    ) from None
+                if key in seen:
+                    raise DuplicateKeyError(f"row {row_number}: duplicate key {key}")
+                seen.add(key)
+        except (csv.Error, UnicodeDecodeError):  # no bad row before it: its own error stands
+            return
 
 
 def parse_csv(path: str, schema: dict) -> Dataset:
@@ -307,12 +333,14 @@ def parse_csv(path: str, schema: dict) -> Dataset:
     and ``domain`` -> list of zero or more domain column names. Labels are
     stripped; counts must be integers in [0, 2**63). A repeated header name
     reads its last column, surplus fields are ignored and blank lines are
-    skipped. The columns are checked whole (counts converted with ``int``,
-    keys checked for duplicates in one set); only when a check fails are the
-    rows walked again, to name the first bad row.
+    skipped. Rows are read ``_BLOCK`` at a time into the columns (one str per
+    distinct label, one tuple per distinct domain, counts as int64), which are
+    checked whole (keys for duplicates in one set); only when a read or a
+    check fails is the file read again, to name the first bad row.
     """
     domain_cols = list(schema.get("domain", []))
     needed = {k: schema[k] for k in ("period", "country", "m", "n", "N")}
+    labels, counts = ([], [], []), ([], [], [])  # each a list of blocks for the counts
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -322,29 +350,25 @@ def parse_csv(path: str, schema: dict) -> Dataset:
                 raise SchemaError(f"missing column {col!r} (mapped to {logical})")
         at = {k: position[col] for k, col in needed.items()}
         i_domain = [position[c] for c in domain_cols]
-        rows: list = []
+        rows = filter(None, reader)
+        copies: dict = {}
         try:
-            rows.extend(filter(None, reader))
-        except (csv.Error, UnicodeDecodeError):  # a bad row read before it is named first
-            _raise_first_error(rows, header, needed, at, i_domain)
+            for block in iter(lambda: list(islice(rows, _BLOCK)), []):
+                fields = [list(map(str.strip, map(itemgetter(at[k]), block))) for k in _LABELS[:2]]
+                levels = [map(str.strip, map(itemgetter(i), block)) for i in i_domain]
+                fields.append(list(zip(*levels)) if levels else [()] * len(block))
+                for col, values in zip(labels, fields):  # the first copy of each label and domain
+                    col.extend(map(copies.setdefault, values, values))
+                for col, k in zip(counts, _COUNTS):
+                    values = map(int, map(itemgetter(at[k]), block))
+                    col.append(np.fromiter(values, np.int64, len(block)))
+            counts = [np.concatenate(col or [np.empty(0, np.int64)]) for col in counts]
+            if any((c < 0).any() for c in counts) or len(set(zip(*labels))) < len(labels[0]):
+                raise ValueError("a row has a negative count or a duplicate key")
+        except (csv.Error, IndexError, ValueError, OverflowError):  # ValueError: also decoding
+            _raise_first_error(path, needed, at, i_domain)
             raise
-
-    def column(i: int):
-        return map(itemgetter(i), rows)
-
-    try:
-        period, country = (list(map(str.strip, column(at[k]))) for k in ("period", "country"))
-        levels = [map(str.strip, column(i)) for i in i_domain]
-        domain = list(zip(*levels)) if levels else [()] * len(rows)
-        counts = [np.fromiter(map(int, column(at[k])), np.int64, len(rows)) for k in _COUNTS]
-        if any((c < 0).any() for c in counts) or len(set(zip(period, country, domain))) < len(rows):
-            raise ValueError("a row has a negative count or a duplicate key")
-    except (IndexError, ValueError, OverflowError):
-        _raise_first_error(rows, header, needed, at, i_domain)
-        raise
-    return Dataset._from_columns(
-        (period, country, domain), counts, tuple(domain_cols), f"parsed from {path}"
-    )
+    return Dataset._from_columns(labels, counts, tuple(domain_cols), f"parsed from {path}")
 
 
 def apply_model_conditions(data: Dataset) -> tuple[Dataset, AuditReport]:

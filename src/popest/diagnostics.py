@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, dumps
+from .dataio import Dataset, json_pieces
 from .mle import FittedModel, linearized_ols
 
 _KAPPA_POISSON = 1e-8
@@ -150,12 +150,15 @@ class DiagnosticsReport:
             "linearized": self.linearized.to_dict(),
         }
 
-    def to_json(self) -> str:
-        """``to_dict()`` written by ``dataio.dumps``, the residual rows from the columns."""
+    def json_pieces(self):
+        """``to_dict()``'s text in ``dataio.json_pieces``, the residual rows from the columns."""
         rest = {"worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
         row = {"key": ["period", "country", "domain"], "m": "m", "mu_hat": "mu_hat",
                "residual": "residual"}
-        return dumps(rest, {"residuals": (row, vars(self))})
+        return json_pieces(rest, {"residuals": (row, vars(self))})
+
+    def to_json(self) -> str:
+        return "".join(self.json_pieces())
 
 
 def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:

@@ -231,11 +231,11 @@ def _psi_rests(x):
     return u, u2 * (1 / 12 - u2 / 120), u * u2 * (1 / 6 - u2 / 30)
 
 
-def _log1p_minus(x, cut=_SERIES_CUT):
+def _log1p_minus(x, cut=_SERIES_CUT, log1p_x=None):
     """log1p(x) - x for x >= 0, below ``cut`` (at most _LARGE_PHI_CUT) from the
     series -x z + 2 (z^3/3 + z^5/5 + ...), z = x/(2 + x), without the
-    cancellation of the two."""
-    out = np.log1p(x) - x
+    cancellation of the two. ``log1p_x``, if given, is log1p(x)."""
+    out = (np.log1p(x) if log1p_x is None else log1p_x) - x
     small = x < cut
     if small.any():
         s = np.minimum(x, cut)
@@ -366,10 +366,11 @@ def _log_f1(family: Family, mu, phi):
     return _log_f0(family, mu, phi) + np.log(phi) + np.log(mu) - np.log(mu + phi)
 
 
-def _trunc_normalizer(fam: CountFamily, mu, phi):
+def _trunc_normalizer(fam: CountFamily, mu, phi, lf0=None):
     """(d, log f(0)) with d = 1 - f(0) [- f(1)], the mass of the truncated
-    support. Only for truncated families; d is not checked."""
-    lf0 = _log_f0(fam.family, mu, phi)
+    support. Only for truncated families; d is not checked. ``lf0``, if
+    given, is log f(0)."""
+    lf0 = _log_f0(fam.family, mu, phi) if lf0 is None else lf0
     d = -np.expm1(lf0)
     if fam.truncation is Truncation.ZERO_ONE:
         d = d - np.exp(_log_f1(fam.family, mu, phi))
@@ -440,6 +441,7 @@ def term_loglik_kernel(
         b = m + phi
         return m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
     counts = DistinctCounts.of(m) if counts is None else counts
+    lf0 = None
     if fam.family is Family.POISSON:
         ll = m * np.log(mu) - mu - counts.log_factorial[counts.inverse]
     elif kind == "nb2-mixture":
@@ -447,9 +449,11 @@ def term_loglik_kernel(
         x = mu / phi
         return _gamma_ratio(counts, phi) + m * np.log(mu / (1.0 + x)) - phi * np.log1p(x)
     else:
-        ll = _gamma_ratio(counts, phi) + m * np.log(mu) - (m + phi) * np.log1p(mu / phi)
+        log1p_x = np.log1p(mu / phi)
+        ll = _gamma_ratio(counts, phi) + m * np.log(mu) - (m + phi) * log1p_x
+        lf0 = -phi * log1p_x
     if fam.truncation is not Truncation.NONE:
-        ll = ll - np.log(_trunc_normalizer(fam, mu, phi)[0])
+        ll = ll - np.log(_trunc_normalizer(fam, mu, phi, lf0)[0])
     return ll
 
 
@@ -587,11 +591,11 @@ def _poisson_derivs(mu, phi, m, counts, fam: CountFamily):
     return d_mu, d_mumu, None, None, None
 
 
-def _dlogf0_dphi(x, cut):
-    """d/dphi of log f(0) = -phi log1p(mu/phi), at x = mu/phi:
-    x/(1+x) - log1p(x), below ``cut`` as -(log1p(x) - x) - x^2/(1+x),
-    without the cancellation of the two."""
-    out = x / (1.0 + x) - np.log1p(x)
+def _dlogf0_dphi(x, log1p_x, cut):
+    """d/dphi of log f(0) = -phi log1p(mu/phi), at x = mu/phi and
+    log1p_x = log1p(x): x/(1+x) - log1p(x), below ``cut`` as
+    -(log1p(x) - x) - x^2/(1+x), without the cancellation of the two."""
+    out = x / (1.0 + x) - log1p_x
     small = x < cut
     if small.any():
         s = np.minimum(x, cut)
@@ -610,7 +614,9 @@ def _nb2_derivs(mu, phi, m, counts, fam: CountFamily):
     # h_phi and h_phiphi are the phi partials of log f(0).
     sums = _count_sums(counts, phi, 4, _psi_terms, _psi_tails)
     inv, share, inv2, share2 = sums[:, counts.inverse]
-    h_phi = _dlogf0_dphi(mu / phi, _series_cut(phi))
+    x = mu / phi
+    log1p_x = np.log1p(x)
+    h_phi = _dlogf0_dphi(x, log1p_x, _series_cut(phi))
     h_phiphi = mu * mu / (phi * a2)
     d_phi = (mu * inv - share) / a + h_phi
     d_phiphi = (share2 - mu * (2.0 * phi + mu) * inv2) / a2 + h_phiphi
@@ -619,7 +625,7 @@ def _nb2_derivs(mu, phi, m, counts, fam: CountFamily):
         return phi * (m - mu) / (mu * a), d_mumu, d_phi, d_phiphi, d_muphi
     # less the partials of log(1 - f(0)), with q = -log f(0): r h' to each
     # first and r h'' + r (1 + r) h' h' to each second partial
-    r, rr, score = _zero_truncation(fam, mu, phi, m)
+    r, rr, score = _zero_truncation(fam, mu, phi, m, x, log1p_x)
     dq_dmu = phi / a
     return (
         dq_dmu * score,
@@ -658,7 +664,7 @@ def _nb2_mass_derivs(mu, phi, which: int):
     a = mu + phi
     g_mu = -phi / a
     g_mumu = phi / a**2
-    g_phi = _dlogf0_dphi(mu / phi, _series_cut(phi))
+    g_phi = _dlogf0_dphi(mu / phi, np.log1p(mu / phi), _series_cut(phi))
     g_phiphi = mu**2 / (phi * a**2)
     g_muphi = -mu / a**2
     if which == 0:
@@ -692,18 +698,18 @@ def _inv_minus_inv_expm1(q, r):
     return out
 
 
-def _zero_truncation(fam: CountFamily, mu, phi, m):
+def _zero_truncation(fam: CountFamily, mu, phi, m, x=None, log1p_x=None):
     """(r, r (1 + r), m/mu - 1 - r) of a zero-truncated family, where
     r = f(0)/(1 - f(0)) = 1/expm1(q) and q = -log f(0): the term's d/dq is
     m/mu - 1 - r times dmu/dq. As mu -> 0, r ~ 1/mu cancels m/mu, so that is
     taken as (m-1)/mu - 1 + (1/mu - 1/q) + (1/q - r). r is NaN where the
-    support has no mass."""
-    d, lf0 = _trunc_normalizer(fam, mu, phi)
+    support has no mass. For NB2, x = mu/phi and log1p_x = log1p(x)."""
+    d, lf0 = _trunc_normalizer(fam, mu, phi, None if x is None else -phi * log1p_x)
     r = np.where(d > 0, np.exp(lf0) / d, np.nan)
     q = -lf0
     score = (m - 1.0) / mu - 1.0 + _inv_minus_inv_expm1(q, r)
     if fam.family is Family.NB2:  # 1/mu - 1/q = phi (log1p(x) - x)/(mu q)
-        score = score + phi * _log1p_minus(mu / phi) / (mu * q)
+        score = score + phi * _log1p_minus(x, log1p_x=log1p_x) / (mu * q)
     return r, r * (1.0 + r), score
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import csv_text
+from .dataio import csv_lines
 from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData, ParamVector
 from .mle import FIT_ERRORS, FitOptions, fit_kind, fit_many, linearized_start, presolve_rows
@@ -59,7 +59,7 @@ class SimulationReport:
         cells = ("rb_percent", "rrmse_percent")
         rows = [(v, p, *(f"{self.metrics[v][p][c]:.6f}" for c in cells), self.failures[v])
                 for v in self.design.variants for p in PARAMETERS]
-        return csv_text(["variant", "parameter", *cells, "failures"], rows)
+        return "".join(csv_lines(["variant", "parameter", *cells, "failures"], rows))
 
 
 def synthetic_population(count: int, seed: int) -> list[tuple[int, int]]:
