@@ -1,12 +1,14 @@
 """Command-line front end: prepare data, fit models, bootstrap, diagnose,
 run the likelihood-variant simulation.
 
-Exit codes: 0 success, 1 model/numerical failure, 2 usage or schema error.
+Exit codes: 0 success, 1 model/numerical failure, 2 usage, schema or file
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from itertools import chain
 
@@ -261,8 +263,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # File errors too; UnicodeDecodeError is a ValueError, so it precedes FIT_ERRORS.
     except (UsageError, dataio.SchemaError, dataio.ParseError, dataio.DuplicateKeyError,
-            dataio.PaddingError, DesignError, ParameterError, SupportError) as exc:
+            dataio.PaddingError, DesignError, ParameterError, SupportError,
+            OSError, csv.Error, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except mle.FIT_ERRORS as exc:

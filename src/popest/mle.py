@@ -46,11 +46,11 @@ _DECREMENT_TOL = 1e-8
 _BLOCK_ELEMENTS = 4096
 # The pre-solve saves per-call overhead, and costs more per record than
 # fit_kind: its stacked sums are masked, and its rows' distinct counts are
-# taken from the block's on every evaluation. A ztnb2 bootstrap (B = 40, two
-# alternated runs) took 0.47-0.48 of the serial time at 101 records,
-# 0.71-0.80 at 514 (7 rows a block), 0.96-1.00 at 1 037 (3 rows) and
-# 1.04-1.13 at 1 720 (2 rows), so blocks of fewer rows than this are
-# refitted serially.
+# taken from the block's on every evaluation. A ztnb2 bootstrap (B = 40,
+# medians of two batches of 7 and 9 alternated runs) took 0.42-0.43 of the
+# serial time at 106 records, 0.66-0.70 at 524 (7 rows a block), 0.97-0.98
+# at 1 042 (3 rows), 1.18-1.21 at 1 768 (2 rows) and 1.17-1.34 at 2 786 and
+# 4 790 (1 row), so blocks of fewer rows than this are refitted serially.
 _MIN_BLOCK_ROWS = 4
 # What a failed fit raises (bad data or parameters, a numerical failure, a
 # singular system); callers that count or report failed fits catch these.
@@ -123,8 +123,8 @@ class Convergence:
     ``iterations`` counts score/Hessian evaluations, the last one at the
     returned parameters (a fit that takes all ``max_iter`` steps makes
     ``max_iter + 1``); ``grad_norm`` is max|g| at the returned parameters.
-    A bootstrap or simulation refit that ``fit_many`` pre-solved is certified
-    by a ``fit_kind`` call started at the pre-solved parameters, so its
+    A replicate refit that ``refit_many`` pre-solved is certified by a
+    ``fit_kind`` call started at the pre-solved parameters, so its
     ``iterations`` counts only that call's evaluations (1 where the stop rule
     holds again at that point), not the lockstep iterations before it."""
 
@@ -420,8 +420,7 @@ def presolve_rows(n_records: int) -> int:
     """How many refits of ``n_records`` records each ``fit_many`` takes at a
     time: as many as fit in ``_BLOCK_ELEMENTS`` records, so that memory does
     not grow with the number of refits. 1 when fewer than
-    ``_MIN_BLOCK_ROWS`` fit, where callers skip the pre-solve and refit
-    serially."""
+    ``_MIN_BLOCK_ROWS`` fit, where ``refit_many`` refits serially."""
     rows = _BLOCK_ELEMENTS // max(n_records, 1)
     return rows if rows >= _MIN_BLOCK_ROWS else 1
 
@@ -449,17 +448,15 @@ def fit_many(
     iterating with one stacked call of the unchecked kernel, assembled as for
     ``fit_kind`` (``_chain_rule``, ``_log_phi_scale``), and each line-search
     probe their log-likelihoods the same way, with those rows' share of the
-    distinct counts of ``M`` (``counts``, sorted here once when not given);
-    callers keep ``M`` to ``presolve_rows`` rows.
+    distinct counts of ``M`` (``counts``, sorted here once when not given).
 
     Returns, per row, the parameters where it met the stop rule, or None. A
     row that stalls, reaches ``max_iter``, has a count below the support, a
     non-finite log-likelihood at the start, a mu that is not positive and
     finite, a score or Hessian entry that is not finite, or a Hessian that
     is not negative definite (where ``fit_kind`` falls back to gradient
-    ascent) gets None. Nothing here labels a fit or raises for one: each
-    row's status is decided by ``fit_kind``, started from the returned
-    parameters or, for None, from the row's own start.
+    ascent) gets None. Nothing here labels a fit or raises for one; that is
+    ``refit_many``'s certify call.
     """
     fam = kind_family(kind)
     has_phi = fam.has_dispersion
@@ -500,6 +497,46 @@ def fit_many(
         _params_from_internal(th, n_alpha, n_beta, has_phi) if s == "converged" else None
         for th, s in zip(theta, status)
     ]
+
+
+def refit_many(md: ModelData, M, kinds, start, mask=None) -> list[list[ParamVector | None]]:
+    """The replicate refits of a block: per kind of ``kinds``, each row's
+    parameters, or None where its refit raises one of ``FIT_ERRORS`` or does
+    not converge. ``M``, ``start`` and ``mask`` are as for ``fit_many``.
+
+    Each refit is one ``fit_kind`` call with ``FitOptions()``, which decides
+    its status. Unless ``presolve_rows`` is 1, ``fit_many`` first solves the
+    block for each kind: a row it converged is certified from there,
+    typically in one score/Hessian evaluation, and any other row is refitted
+    from its ``start``. The block's distinct counts are sorted once; an
+    unmasked row takes its share of them, and a masked row is refitted on
+    its kept strata, one ``ModelData`` for all kinds.
+    """
+    M = np.asarray(M, dtype=float)
+    start = np.broadcast_to(np.asarray(start, dtype=float), (len(M), np.shape(start)[-1]))
+    counts = DistinctCounts.of(M)
+    serial = presolve_rows(md.n_obs) == 1
+    presolved = [[None] * len(M) if serial else fit_many(md, M, kind, start, mask, counts)
+                 for kind in kinds]
+    shares = counts.split()
+    n_alpha, n_beta = md.X.shape[1], md.Z.shape[1]
+    out = [[] for _ in kinds]
+    for b, m in enumerate(M):
+        if mask is None:
+            md_b = md.with_counts(m, shares[b])
+        else:
+            keep = mask[b]
+            index = [md.record(i) for i in np.flatnonzero(keep).tolist()]
+            md_b = ModelData(m=m[keep], log_N=md.log_N[keep], log_ratio=md.log_ratio[keep],
+                             X=md.X[keep], Z=md.Z[keep], index=index)
+        for kind, pre, refits in zip(kinds, presolved, out):
+            own = ParamVector.unstack(start[b], n_alpha, n_beta, kind_family(kind).has_dispersion)
+            try:
+                params, _, _, conv = fit_kind(md_b, kind, pre[b] or own, FitOptions())
+                refits.append(params if conv.converged else None)
+            except FIT_ERRORS:
+                refits.append(None)
+    return out
 
 
 def xi_from_alpha(md: ModelData, alpha: np.ndarray) -> float:

@@ -16,8 +16,10 @@ import numpy as np
 
 from .dataio import csv_lines
 from .distributions import sample_many, CountFamily, Family, Truncation
-from .meanmodel import ModelData, ParamVector
-from .mle import FIT_ERRORS, FitOptions, fit_kind, fit_many, linearized_start, presolve_rows
+from .meanmodel import ModelData
+# fit_kind is called by mle.refit_many, not here; bench/trace_worker.py wraps
+# simulation.fit_kind, which must stay mle.fit_kind, or its fit counts are lost.
+from .mle import fit_kind, linearized_start, presolve_rows, refit_many, xi_from_alpha
 
 VARIANT_KINDS = {
     "zhang-approx": "zhang",
@@ -44,6 +46,8 @@ class SimDesign:
         for name in self.variants:
             if name not in VARIANT_KINDS:
                 raise ValueError(f"unknown variant {name!r}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ValueError(f"repeated variant in {', '.join(self.variants)}")
         for N, n in self.population:
             if not (0 < n < N):
                 raise ValueError(f"population pair (N={N}, n={n}) must satisfy 0 < n < N")
@@ -103,61 +107,34 @@ def _draw(b: int, design: SimDesign, log_N, log_ratio, mu):
     return m, keep, _init_from_arrays(m[keep], log_N[keep], log_ratio[keep])
 
 
-def _refit(md: ModelData, kind: str, start: ParamVector, log_N) -> dict | None:
-    """The estimates of the refit from ``start``, or None when it fails."""
-    try:
-        params, _, _, conv = fit_kind(md, kind, start, FitOptions())
-    except FIT_ERRORS:
-        return None
-    if not conv.converged:
-        return None
-    alpha_hat = float(params.alpha[0])
-    return {
-        "alpha": alpha_hat,
-        "beta": float(params.beta[0]),
-        "phi": float(params.phi),
-        "xi": float(np.sum(np.exp(alpha_hat * log_N))),
-    }
-
-
 def _replicates(design: SimDesign, log_N, log_ratio, mu) -> list[dict]:
     """variant -> estimates or None, per replicate. Replicates run in blocks
-    of ``presolve_rows``: the draws, one ``fit_many`` pre-solve per variant
-    over the block's replicates with enough strata, then one ``fit_kind``
-    call per replicate and variant."""
+    of ``presolve_rows``: the draws, then ``mle.refit_many`` over the
+    block's replicates with enough strata."""
     ones = np.ones((len(mu), 1))
+    md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
+    kinds = [VARIANT_KINDS[variant] for variant in design.variants]
     size = presolve_rows(len(mu))
     out = []
     for lo in range(0, design.B, size):
         drawn = [_draw(b, design, log_N, log_ratio, mu) for b in range(lo, min(lo + size, design.B))]
-        fitted = [r for r in drawn if r is not None]
-        presolved = {variant: iter([None] * len(fitted)) for variant in design.variants}
-        if size > 1 and fitted:
+        block = [dict.fromkeys(design.variants) for _ in drawn]
+        fitted = [j for j, r in enumerate(drawn) if r is not None]
+        if fitted:
+            m, keep, starts = (np.array(x) for x in zip(*(drawn[j] for j in fitted)))
             # Dropped strata hold count 1, valid for every variant; the mask
-            # leaves them out of each sum.
-            M = np.array([np.where(keep, m, 1.0) for m, keep, _ in fitted])
-            mask = np.array([keep for _, keep, _ in fitted])
-            starts = np.array([s for _, _, s in fitted])
-            md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
-            presolved = {
-                variant: iter(fit_many(md, M, VARIANT_KINDS[variant], starts, mask))
-                for variant in design.variants
-            }
-        for r in drawn:
-            if r is None:
-                out.append(dict.fromkeys(design.variants))
-                continue
-            m, keep, (a0, b0, phi0) = r
-            index = np.flatnonzero(keep).tolist()  # stratum positions, for error messages
-            md = ModelData(
-                m=m[keep], log_N=log_N[keep], log_ratio=log_ratio[keep],
-                X=ones[keep], Z=ones[keep], index=index,
-            )
-            start = ParamVector(alpha=np.array([a0]), beta=np.array([b0]), phi=phi0)
-            out.append({
-                variant: _refit(md, VARIANT_KINDS[variant], next(presolved[variant]) or start, log_N)
-                for variant in design.variants
-            })
+            # leaves them out of each fit.
+            refits = refit_many(md, np.where(keep, m, 1.0), kinds, starts, keep)
+            for variant, rows in zip(design.variants, refits):
+                for j, params in zip(fitted, rows):
+                    if params is not None:
+                        block[j][variant] = {
+                            "alpha": float(params.alpha[0]),
+                            "beta": float(params.beta[0]),
+                            "phi": float(params.phi),
+                            "xi": xi_from_alpha(md, params.alpha),
+                        }
+        out.extend(block)
     return out
 
 
@@ -165,16 +142,9 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
     """Fit every variant to ``design.B`` replicate panels and aggregate.
 
     Replicates run in blocks of ``mle.presolve_rows`` replicates, so memory
-    does not grow with B, and the refits of a block in two steps. After the
-    block's counts are drawn, ``fit_many`` solves each variant on its
-    replicates in lockstep from their linearized starts (the pre-solve),
-    with the dropped strata masked out. Each replicate and variant is then
-    certified by its own ``fit_kind`` call, which decides its status: from
-    the pre-solved parameters when that row converged, where it typically
-    stops after one score/Hessian evaluation, and otherwise from the
-    linearized start, the serial refit itself. Populations of more than
-    1 024 strata, where fewer than 4 replicates fit in a block, have no
-    pre-solve: every refit is serial. ``threads`` (and the
+    does not grow with B, and each block's refits of every variant, from
+    each replicate's linearized start on its kept strata, are those of
+    ``mle.refit_many``. ``threads`` (and the
     ``POPEST_THREADS`` environment variable) is accepted and has no effect;
     results do not depend on it.
     """

@@ -13,16 +13,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .distributions import DistinctCounts, sample_many
-from .mle import (
-    FIT_ERRORS,
-    FitOptions,
-    FittedModel,
-    fit_kind,
-    fit_many,
-    presolve_rows,
-    xi_from_alpha,
-)
+from .distributions import sample_many
+# fit_kind is called by mle.refit_many, not here; bench/trace_worker.py wraps
+# uncertainty.fit_kind, which must stay mle.fit_kind, or its fit counts are lost.
+from .mle import FittedModel, fit_kind, presolve_rows, refit_many, xi_from_alpha
 from .meanmodel import ParamVector
 
 
@@ -164,15 +158,6 @@ def _draw(b: int, seed: int, fit: FittedModel, root: np.ndarray) -> tuple[float,
     return xi_star, m_star.astype(float), redraws
 
 
-def _refit(md_star, kind: str, start: ParamVector) -> float | None:
-    """xi_hat* of the refit from ``start``, or None when it fails."""
-    try:
-        params_hat, _, _, conv = fit_kind(md_star, kind, start, FitOptions())
-    except FIT_ERRORS:
-        return None
-    return xi_from_alpha(md_star, params_hat.alpha) if conv.converged else None
-
-
 def parametric_bootstrap(
     fit: FittedModel,
     B: int,
@@ -189,16 +174,9 @@ def parametric_bootstrap(
     over their pairs, NaN when none succeeded.
 
     The replicates run in blocks of ``mle.presolve_rows`` replicates, so
-    memory does not grow with B. The refits of a block run in two steps.
-    ``fit_many`` first solves them in lockstep from ``fit.params`` (the
-    pre-solve). Each replicate is then certified by its own ``fit_kind``
-    call, which decides its status: from the pre-solved parameters when that
-    row converged, where it typically stops after one score/Hessian
-    evaluation, and otherwise from ``fit.params``, the serial refit itself;
-    it takes its row's share of the block's distinct counts, sorted once.
-    On panels of more than 1 024 strata, where fewer than 4 replicates fit
-    in a block, there is no pre-solve and every refit is serial. Each replicate's draws come from its own
-    generator, so results do not depend on the blocks.
+    memory does not grow with B, and each block's refits from ``fit.params``
+    are those of ``mle.refit_many``. Each replicate's draws come from its
+    own generator, so results do not depend on the blocks.
     ``threads`` (and the ``POPEST_THREADS`` environment variable) is accepted
     and has no effect; results do not depend on it.
     """
@@ -213,16 +191,10 @@ def parametric_bootstrap(
     xi_star, xi_hat, redraws = [], [], 0
     for lo in range(0, B, size):
         block = [_draw(b, seed, fit, root) for b in range(lo, min(lo + size, B))]
-        if size > 1:
-            counts = np.array([m for _, m, _ in block])
-            distinct = DistinctCounts.of(counts)
-            presolved = fit_many(md, counts, kind, fit.params.stacked(), counts=distinct)
-            shares = distinct.split()
-        else:
-            presolved = shares = [None] * len(block)
-        for (xs, m, r), params, share in zip(block, presolved, shares):
+        (refits,) = refit_many(md, np.array([m for _, m, _ in block]), [kind], fit.params.stacked())
+        for (xs, _, r), params in zip(block, refits):
             xi_star.append(xs)
-            xi_hat.append(_refit(md.with_counts(m, share), kind, params or fit.params))
+            xi_hat.append(None if params is None else xi_from_alpha(md, params.alpha))
             redraws += r
 
     draws = [(xs, xh) for xs, xh in zip(xi_star, xi_hat) if xh is not None]

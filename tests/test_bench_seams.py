@@ -5,7 +5,7 @@ benchmark run. The tracer is imported and read, never installed."""
 import importlib.util
 from pathlib import Path
 
-from popest import meanmodel, simulation
+from popest import meanmodel, mle, simulation, uncertainty
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -23,3 +23,8 @@ def test_tracing_seams_exist(monkeypatch):
     assert missing == []
     assert isinstance(vars(meanmodel.ModelData).get("W"), property)
     assert hasattr(simulation, "VARIANT_KINDS")
+    # The replicate refits call mle.fit_kind; the tracer also wraps the names
+    # in uncertainty and simulation, which must be that same function, so
+    # that a stale copy or wrapper there fails here rather than going
+    # uncounted.
+    assert uncertainty.fit_kind is mle.fit_kind is simulation.fit_kind

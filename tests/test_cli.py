@@ -194,19 +194,52 @@ def test_boot_quantile_level_outside_the_unit_interval_is_usage_error(data_csv, 
     "argv, message",
     [
         (["simulate", "--phi", "2.5", "-B", "4", "--variants", "bogus"], "unknown variant"),
+        (["simulate", "--phi", "2.5", "-B", "4", "--variants", "nb2-closed,nb2-closed"],
+         "repeated variant"),
         (["simulate", "--phi", "2.5", "-B", "4", "--seed", "-1"], "--seed"),
         (["boot", "DATA", "--dist", "ztnb2", "-B", "4", "--seed", "-1"], "--seed"),
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,bogus:x"], "bogus"),
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "foo"], "foo"),
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,intercept"], "duplicate"),
     ],
-    ids=["simulate-variant", "simulate-seed", "boot-seed", "fit-unknown-variable",
+    ids=["simulate-variant", "simulate-repeated-variant", "simulate-seed", "boot-seed", "fit-unknown-variable",
          "fit-malformed-term", "fit-duplicate-term"],
 )
 def test_bad_option_values_are_usage_errors(data_csv, argv, message, capsys):
     argv = [a for arg in argv for a in (["--data", data_csv, "--schema", SCHEMA] if arg == "DATA" else [arg])]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _oversized_field(path):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("Q1,Ukraine,F," + "x" * 131_073 + ",3,10,100\n")
+
+
+def _non_utf8(path):
+    with open(path, "ab") as fh:
+        fh.write(b"Q1,Ukra\xefne,F,0-30,3,10,100\n")
+
+
+@pytest.mark.parametrize(
+    "argv, spoil, message",
+    [
+        (["fit", "--data", "MISSING"], None, "No such file"),
+        (["fit", "--data", "DATA", "--output", "MISSING/fit.json"], None, "No such file"),
+        (["fit", "--data", "DATA"], _oversized_field, "field larger than field limit"),
+        (["fit", "--data", "DATA"], _non_utf8, "can't decode"),
+    ],
+    ids=["missing-data", "output-in-missing-directory", "oversized-field", "non-utf8"],
+)
+def test_file_errors_are_exit_two(data_csv, tmp_path, argv, spoil, message, capsys):
+    if spoil:
+        spoil(data_csv)
+    paths = {"DATA": data_csv, "MISSING": str(tmp_path / "missing")}
+    argv = [paths.get(a, a.replace("MISSING", paths["MISSING"])) for a in argv]
+    assert main([*argv, "--schema", SCHEMA, "--dist", "po"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_boot_draws_csv(data_csv, tmp_path):

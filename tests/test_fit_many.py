@@ -1,4 +1,5 @@
-"""The replicate pre-solve (``mle.fit_many``) and the per-row kernels it runs.
+"""The replicate refits (``mle.refit_many``), their pre-solve
+(``mle.fit_many``) and the per-row kernels it runs.
 
 Bootstrap and simulation replicates are solved in lockstep, then each is
 certified by its own ``fit_kind`` call. The result must match the serial
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popest import mle, simulation, uncertainty
+from popest import mle
 from popest.distributions import (
     CountFamily,
     DistinctCounts,
@@ -105,7 +106,7 @@ def test_batched_bootstrap_equals_the_serial_refits(monkeypatch, seed, token, co
     boot_fit = _boot_fit(seed, token, *covariates)
     assert boot_fit.convergence.converged
     (batched, statuses), (serial, serial_statuses) = run_both(
-        monkeypatch, uncertainty, lambda kind, i: failed.get(i),
+        monkeypatch, mle, lambda kind, i: failed.get(i),
         lambda: parametric_bootstrap(boot_fit, B=30, seed=4),
     )
     _assert_same_bootstrap(batched, serial)
@@ -121,7 +122,7 @@ def test_batched_bootstrap_equals_the_serial_refits(monkeypatch, seed, token, co
 def test_batched_simulation_equals_the_serial_refits(monkeypatch, seed, strata, failed):
     design = SimDesign(population=tuple(synthetic_population(strata, seed)), B=12, seed=seed)
     (batched, statuses), (serial, serial_statuses) = run_both(
-        monkeypatch, simulation, lambda kind, i: failed.get(kind, {}).get(i),
+        monkeypatch, mle, lambda kind, i: failed.get(kind, {}).get(i),
         lambda: run_simulation(design),
     )
     assert batched.failures == serial.failures
@@ -154,10 +155,10 @@ def test_bootstrap_blocks_and_the_serial_choice(monkeypatch, block, rows):
     n = len(boot_fit.data.m)
     with monkeypatch.context() as mp:
         mp.setattr(mle, "_BLOCK_ELEMENTS", block * n)
-        seen = count_presolves(mp, uncertainty)
+        seen = count_presolves(mp, mle)
         blocked = parametric_bootstrap(boot_fit, B=30, seed=4)
     assert seen == rows
-    converge_no_row(monkeypatch, uncertainty)
+    converge_no_row(monkeypatch, mle)
     _assert_same_bootstrap(blocked, parametric_bootstrap(boot_fit, B=30, seed=4))
 
 
@@ -166,10 +167,10 @@ def test_simulation_blocks_and_the_serial_choice(monkeypatch, block, rows):
     design = SimDesign(population=tuple(synthetic_population(40, 2)), B=12, seed=2)
     with monkeypatch.context() as mp:
         mp.setattr(mle, "_BLOCK_ELEMENTS", block * 40)
-        seen = count_presolves(mp, simulation)
+        seen = count_presolves(mp, mle)
         blocked = run_simulation(design)
     assert seen == [r for r in rows for _ in design.variants]
-    converge_no_row(monkeypatch, simulation)
+    converge_no_row(monkeypatch, mle)
     serial = run_simulation(design)
     assert blocked.failures == serial.failures
     for variant in design.variants:
@@ -386,7 +387,7 @@ def test_bootstrap_with_an_unfinished_presolve_equals_the_serial_refits(monkeypa
     # A pre-solve cut at two iterations leaves most rows unconverged; those
     # replicates take the serial path and the others are certified.
     boot_fit = _boot_fit(11, "ztnb2")
-    real, seen = uncertainty.fit_many, []
+    real, seen = mle.fit_many, []
 
     def cut_short(md, M, kind, start, mask=None, counts=None):
         with monkeypatch.context() as mp:
@@ -395,10 +396,10 @@ def test_bootstrap_with_an_unfinished_presolve_equals_the_serial_refits(monkeypa
         seen.append(sum(p is not None for p in presolved))
         return presolved
 
-    monkeypatch.setattr(uncertainty, "fit_many", cut_short)
+    monkeypatch.setattr(mle, "fit_many", cut_short)
     cut = parametric_bootstrap(boot_fit, B=30, seed=8)
     assert 0 < seen[0] < 30
-    converge_no_row(monkeypatch, uncertainty)
+    converge_no_row(monkeypatch, mle)
     _assert_same_bootstrap(cut, parametric_bootstrap(boot_fit, B=30, seed=8))
 
 
@@ -420,3 +421,45 @@ def test_masked_strata_are_left_out():
         assert (presolved[b] is None) == (alone is None)
         if alone is not None:
             np.testing.assert_allclose(presolved[b].stacked(), alone.stacked(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_refit_many_equals_one_fit_kind_per_row(monkeypatch, masked):
+    # With and without the pre-solve, each row's refit of each kind is the
+    # fit_kind refit from its start on its kept strata, and a refit that
+    # raises or stalls is None.
+    md, M, starts = _rows_and_starts()
+    keep = np.ones(M.shape, dtype=bool)
+    if masked:
+        keep[:, ::3] = False
+    kinds = ("ztnb2", "nb2")
+    fails = {"ztnb2": {1: "raise"}, "nb2": {2: "stall"}}
+    out, statuses, iterations = [], [], []
+    for serial in (False, True):
+        with monkeypatch.context() as mp:
+            if serial:  # fewer than _MIN_BLOCK_ROWS rows fit in a block
+                mp.setattr(mle, "_BLOCK_ELEMENTS", 3 * md.n_obs)
+            presolves = count_presolves(mp, mle)
+            fail_refits(mp, mle, lambda kind, i: fails[kind].get(i))
+            seen = record_statuses(mp, mle)
+            mask = keep if masked else None
+            out.append(mle.refit_many(md, np.where(keep, M, 1.0), kinds, starts, mask))
+        assert presolves == ([] if serial else [len(M)] * len(kinds))
+        statuses.append([status for status, _ in seen])
+        iterations.append(sum(n for _, n in seen))
+    assert statuses[0] == statuses[1] == [
+        "converged", "converged", "RuntimeError", "converged", "converged", "stalled"
+    ]
+    assert iterations[0] < iterations[1]
+    for kind, presolved, serial in zip(kinds, *out):
+        for b, (got, want) in enumerate(zip(presolved, serial)):
+            if b in fails[kind]:
+                assert got is None and want is None
+                continue
+            k = keep[b]
+            md_b = ModelData(m=M[b][k], log_N=md.log_N[k], log_ratio=md.log_ratio[k],
+                             X=md.X[k], Z=md.Z[k], index=[])
+            params, _, _, conv = fit_kind(md_b, kind, _start(starts[b]), FitOptions())
+            assert conv.converged
+            np.testing.assert_allclose(want.stacked(), params.stacked(), rtol=0, atol=0)
+            np.testing.assert_allclose(got.stacked(), params.stacked(), rtol=1e-10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from popest import simulation
+from popest import mle
 from popest.meanmodel import ModelData, ParamVector
 from popest.meanmodel import loglik_kind
 from popest.simulation import (
@@ -55,6 +55,8 @@ def test_synthetic_population_contract():
 def test_design_validation():
     with pytest.raises(ValueError, match="variant"):
         SimDesign(variants=("bogus",), population=((10, 5),))
+    with pytest.raises(ValueError, match="repeated variant"):
+        SimDesign(variants=("nb2-closed", "zt-nb2", "nb2-closed"), population=((10, 5),))
     with pytest.raises(ValueError, match="0 < n < N"):
         SimDesign(population=((10, 10),))
 
@@ -189,7 +191,7 @@ def test_failed_refits_are_counted_per_variant(monkeypatch):
     clean = _replicates(design, *_replicate_args(design))
     assert all(row is not None for r in clean for row in r.values())
     failed = {"nb2": {1: "raise", 4: "stall"}, "ztnb2": {2: "raise"}}
-    fail_refits(monkeypatch, simulation, lambda kind, i: failed.get(kind, {}).get(i))
+    fail_refits(monkeypatch, mle, lambda kind, i: failed.get(kind, {}).get(i))
     report = run_simulation(design)
     assert report.failures == {"zhang-approx": 0, "exact-gamma": 0, "nb2-closed": 2, "zt-nb2": 1}
     N = np.array([p[0] for p in design.population], dtype=float)

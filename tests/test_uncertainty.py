@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from popest import uncertainty
+from popest import mle
 from popest.dataio import Dataset, StratumRecord
 from popest.distributions import CountFamily, DistinctCounts
 from popest.meanmodel import DesignSpec, ModelSpec
@@ -228,7 +228,7 @@ def test_bootstrap_failed_refits_are_counted_and_left_out(boot_fit, monkeypatch,
     B = 20
     clean = parametric_bootstrap(boot_fit, B=B, seed=6)
     assert clean.failures == 0 and len(clean.draws) == B
-    fail_refits(monkeypatch, uncertainty, lambda kind, i: failed.get(i))
+    fail_refits(monkeypatch, mle, lambda kind, i: failed.get(i))
     res = parametric_bootstrap(boot_fit, B=B, seed=6)
     kept = [d for b, d in enumerate(clean.draws) if b not in failed]
     assert res.failures == len(failed)
@@ -247,7 +247,7 @@ def test_bootstrap_with_every_refit_failed_reports_only_the_plugin_interval(monk
     # draws of failed replicates.
     data = synth_dataset(11, 40)
     fitted = fit(data, ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec()))
-    fail_refits(monkeypatch, uncertainty, lambda kind, i: "raise")
+    fail_refits(monkeypatch, mle, lambda kind, i: "raise")
     res = parametric_bootstrap(fitted, B=20, seed=6)
     assert set(res.intervals) == {"plugin"}
     assert res.draws == []
