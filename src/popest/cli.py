@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
             population=population,
             variants=variants,
         )
-    except ValueError as exc:  # an unknown --variants name
+    except ValueError as exc:  # an unknown --variants name, or --strata below 3
         raise UsageError(str(exc)) from None
     report = simulation.run_simulation(design)
     _write([report.to_csv()], args.output)

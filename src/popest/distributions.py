@@ -388,22 +388,26 @@ def _checked_normalizer(fam: CountFamily, mu, phi) -> np.ndarray:
 def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
     if m.min(initial=fam.support_min) < fam.support_min:
         raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
+    if (np.floor(m) != m).any():
+        raise SupportError(f"non-integer count for {kind}")
 
 
-def _checked(kind: str, mu, phi, m):
+def _checked(kind: str, mu, phi, m, counts: DistinctCounts | None = None):
     """Family of ``kind`` and (mu, m) as float arrays, after the argument and
-    support checks shared by ``term_loglik`` and ``term_derivatives``."""
+    support checks shared by ``term_loglik`` and ``term_derivatives``; the
+    counts are checked through their distinct values when given."""
     fam = kind_family(kind)
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     m = np.asarray(m, dtype=float)
-    check_kind_args(kind, phi, m)
+    check_kind_args(kind, phi, m if counts is None else counts.values)
     return fam, mu, m
 
 
 def check_kind_args(kind: str, phi, m: np.ndarray) -> CountFamily:
     """Family of ``kind``, after the checks of ``term_loglik`` that do not
-    involve mu, for a float array of counts; for callers of
+    involve mu, for a float array of counts (or of their distinct values):
+    each must be an integer in the support. For callers of
     ``term_loglik_kernel``."""
     fam = kind_family(kind)
     if fam.has_dispersion:
@@ -732,7 +736,7 @@ def term_derivatives(
 
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
-    fam, mu, m = _checked(kind, mu, phi, m)
+    fam, mu, m = _checked(kind, mu, phi, m, counts)
     t = term_derivatives_kernel(fam, kind, mu, phi, m, counts)
     if fam.truncation is not Truncation.NONE and not np.isfinite(t.d_mu).all():
         _checked_normalizer(fam, mu, phi)

@@ -226,12 +226,12 @@ def prepare(data: Dataset, design: DesignSpec) -> ModelData:
 def loglik_kind(md: ModelData, kind: str, params: ParamVector) -> float:
     """Summed log-likelihood, the line-search objective.
 
-    phi and the counts are checked once per call, and mu = exp(W gamma) not at
-    all: a mu that overflows or underflows gives a non-finite term, which
+    phi and the distinct counts are checked once per call, and mu = exp(W gamma)
+    not at all: a mu that overflows or underflows gives a non-finite term, which
     raises ``NumericalError`` naming the record (its position when ``index``
     is empty).
     """
-    fam = check_kind_args(kind, params.phi, md.m)
+    fam = check_kind_args(kind, params.phi, md.distinct.values)
     ll = term_loglik_kernel(
         fam, kind, md.mu_values(params), params.phi, md.m, counts=md.distinct
     )

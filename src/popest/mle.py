@@ -359,12 +359,11 @@ def fit_kind(
     """
     options = options or FitOptions()
     fam = kind_family(kind)
-    lo = fam.support_min
-    if (md.m < lo).any():
-        i = int(np.argmax(md.m < lo))
-        raise SupportError(
-            f"record {md.record(i)} has m={md.m[i]:g}, below the support minimum {lo} of {kind}"
-        )
+    lo, values = fam.support_min, md.distinct.values
+    if values.min(initial=lo) < lo or (np.floor(values) != values).any():
+        i = int(np.argmax((md.m < lo) | (np.floor(md.m) != md.m)))
+        why = f"below the support minimum {lo}" if md.m[i] < lo else "not an integer count"
+        raise SupportError(f"record {md.record(i)} has m={md.m[i]:g}, {why} of {kind}")
     has_phi = fam.has_dispersion
     n_alpha = md.X.shape[1]
     n_beta = md.Z.shape[1]

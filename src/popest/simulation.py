@@ -51,6 +51,8 @@ class SimDesign:
         for N, n in self.population:
             if not (0 < n < N):
                 raise ValueError(f"population pair (N={N}, n={n}) must satisfy 0 < n < N")
+        if len(self.population) < 3:
+            raise ValueError(f"population has {len(self.population)} strata; a fit needs at least 3")
 
 
 @dataclass
@@ -107,34 +109,27 @@ def _draw(b: int, design: SimDesign, log_N, log_ratio, mu):
     return m, keep, _init_from_arrays(m[keep], log_N[keep], log_ratio[keep])
 
 
-def _replicates(design: SimDesign, log_N, log_ratio, mu) -> list[dict]:
-    """variant -> estimates or None, per replicate. Replicates run in blocks
-    of ``presolve_rows``: the draws, then ``mle.refit_many`` over the
-    block's replicates with enough strata."""
+def _refits(design: SimDesign, log_N, log_ratio, mu) -> list[list[tuple]]:
+    """Per variant, the (alpha, beta, phi, xi) of each converged refit, in
+    replicate order. Replicates run in blocks of ``presolve_rows``: the
+    draws, then ``mle.refit_many`` over the block's replicates with enough
+    strata."""
     ones = np.ones((len(mu), 1))
     md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
     kinds = [VARIANT_KINDS[variant] for variant in design.variants]
     size = presolve_rows(len(mu))
-    out = []
+    out = [[] for _ in kinds]
     for lo in range(0, design.B, size):
-        drawn = [_draw(b, design, log_N, log_ratio, mu) for b in range(lo, min(lo + size, design.B))]
-        block = [dict.fromkeys(design.variants) for _ in drawn]
-        fitted = [j for j, r in enumerate(drawn) if r is not None]
-        if fitted:
-            m, keep, starts = (np.array(x) for x in zip(*(drawn[j] for j in fitted)))
+        drawn = [r for b in range(lo, min(lo + size, design.B))
+                 if (r := _draw(b, design, log_N, log_ratio, mu)) is not None]
+        if drawn:
+            m, keep, starts = (np.array(x) for x in zip(*drawn))
             # Dropped strata hold count 1, valid for every variant; the mask
             # leaves them out of each fit.
             refits = refit_many(md, np.where(keep, m, 1.0), kinds, starts, keep)
-            for variant, rows in zip(design.variants, refits):
-                for j, params in zip(fitted, rows):
-                    if params is not None:
-                        block[j][variant] = {
-                            "alpha": float(params.alpha[0]),
-                            "beta": float(params.beta[0]),
-                            "phi": float(params.phi),
-                            "xi": xi_from_alpha(md, params.alpha),
-                        }
-        out.extend(block)
+            for rows, params in zip(out, refits):
+                rows.extend((float(p.alpha[0]), float(p.beta[0]), float(p.phi),
+                             xi_from_alpha(md, p.alpha)) for p in params if p is not None)
     return out
 
 
@@ -150,8 +145,6 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
     """
     if design.B < 2:
         raise ValueError("B must be >= 2")
-    if not design.population:
-        raise ValueError("design.population is empty")
     N = np.array([p[0] for p in design.population], dtype=float)
     n = np.array([p[1] for p in design.population], dtype=float)
     log_N = np.log(N)
@@ -165,15 +158,10 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
         "xi": xi_true,
     }
 
-    results = _replicates(design, log_N, log_ratio, mu)
-
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}
-    for variant in design.variants:
-        rows = [r[variant] for r in results if r[variant] is not None]
+    for variant, rows in zip(design.variants, _refits(design, log_N, log_ratio, mu)):
         failures[variant] = design.B - len(rows)
-        metrics[variant] = {}
-        for parameter in PARAMETERS:
-            est = np.array([row[parameter] for row in rows]) if rows else np.array([np.nan])
-            metrics[variant][parameter] = aggregate_metrics(est, truth[parameter])
+        columns = zip(*rows) if rows else [[np.nan]] * len(PARAMETERS)
+        metrics[variant] = {p: aggregate_metrics(c, truth[p]) for p, c in zip(PARAMETERS, columns)}
     return SimulationReport(design=design, metrics=metrics, failures=failures)

@@ -193,21 +193,15 @@ def parametric_bootstrap(
         block = [_draw(b, seed, fit, root) for b in range(lo, min(lo + size, B))]
         (refits,) = refit_many(md, np.array([m for _, m, _ in block]), [kind], fit.params.stacked())
         for (xs, _, r), params in zip(block, refits):
-            xi_star.append(xs)
-            xi_hat.append(None if params is None else xi_from_alpha(md, params.alpha))
             redraws += r
+            if params is not None:
+                xi_star.append(xs)
+                xi_hat.append(xi_from_alpha(md, params.alpha))
+    failures = B - len(xi_star)
 
-    draws = [(xs, xh) for xs, xh in zip(xi_star, xi_hat) if xh is not None]
-    failures = xi_hat.count(None)
-
-    xs = np.array([d[0] for d in draws])
-    if draws:
-        xh = np.array([d[1] for d in draws])
-        mse = float(np.mean((xh - xs) ** 2))
-        rmse = float(np.sqrt(mse) / np.mean(xs)) if np.mean(xs) != 0 else float("nan")
-    else:
-        mse = float("nan")
-        rmse = float("nan")
+    xs, xh = np.array(xi_star), np.array(xi_hat)
+    mse = float(np.mean((xh - xs) ** 2)) if xi_star else float("nan")
+    rmse = float(np.sqrt(mse) / np.mean(xs)) if xi_star and np.mean(xs) != 0 else float("nan")
 
     # The bootstrap intervals take the xi* draws of the successful refits
     # only; with none, only the plug-in interval is reported.
@@ -219,7 +213,7 @@ def parametric_bootstrap(
 
     return BootstrapResult(
         B=B,
-        draws=draws,
+        draws=list(zip(xi_star, xi_hat)),
         mse=mse,
         rmse=rmse,
         intervals=intervals,

@@ -15,7 +15,7 @@ import popest
 from popest import mle
 from popest.cli import _parse_pad, _parse_schema, main
 
-from conftest import synth_records
+from conftest import fail_refits, synth_records
 
 SCHEMA = "period=period,country=country,domain=sex+age,m=m,n=n,N=N"
 
@@ -118,6 +118,31 @@ def test_count_below_support_is_exit_two(tmp_path, capsys):
     code = main(["fit", "--data", path, "--schema", SCHEMA, "--dist", "zotpo"])
     assert code == 2
     assert f"record {records[7].key} has m=1" in capsys.readouterr().err
+
+
+def test_fit_error_is_exit_one_with_one_error_line(tmp_path, capsys):
+    # Record 2's m = 0 is pooled into a pseudo-country record that still
+    # violates the model conditions and is dropped: 2 records are left for
+    # the starting-value regression, which needs 3.
+    records = synth_records(11, 3)
+    records[2] = dataclasses.replace(records[2], m=0)
+    path = write_csv(tmp_path / "two.csv", records)
+    audit = tmp_path / "audit.json"
+    argv = ["fit", "--data", path, "--schema", SCHEMA, "--dist", "ztnb2", "--audit", str(audit)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need at least 3 records, got 2"]
+    assert captured.out == ""
+    assert len(json.loads(audit.read_text())["dropped"]) == 1
+
+
+def test_boot_aborts_when_the_fit_does_not_converge(data_csv, capsys, monkeypatch):
+    fail_refits(monkeypatch, mle, lambda kind, i: "stall")
+    code = main(["boot", "--data", data_csv, "--schema", SCHEMA, "--dist", "ztnb2", "-B", "4"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fit did not converge; bootstrap aborted\n"
+    assert captured.out == ""
 
 
 def test_compare_quotes_failure_status(tmp_path, capsys):
@@ -393,6 +418,14 @@ def test_simulate_single_variant(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("strata", [1, 2])
+def test_simulate_too_few_strata_is_exit_two(strata, capsys):
+    assert main(["simulate", "--phi", "2.5", "-B", "4", "--strata", str(strata)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: population has {strata} strata; a fit needs at least 3"]
+    assert captured.out == ""
+
+
 def test_simulate_byte_identical_outputs(tmp_path):
     outs = []
     for name in ("s1.csv", "s2.csv"):
@@ -417,16 +450,18 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     # No command needs scipy: it is imported only by the quadrature oracle
     # mixture_pmf_oracle and by the tests. Importing it would make every
     # invocation start later, so neither importing popest.cli nor running
-    # boot, simulate, compare and diagnose in one process may load any scipy
-    # module. Nor numpy.ma, which scipy used to load first: np.quantile and
-    # np.unique without return_inverse import it on their first call,
-    # inside a command.
+    # fit, boot, simulate, compare and diagnose in one process may load any
+    # scipy module. Nor numpy.ma, which scipy used to load first: np.quantile
+    # and np.unique without return_inverse import it on their first call,
+    # inside a command. Nor mpmath or hypothesis, which like scipy come only
+    # with the test extra.
     src = Path(popest.__file__).resolve().parents[1]
     bench = Path(__file__).resolve().parents[1] / "bench"
     code = f"""
 import json, sys
 import popest.cli
-unwanted = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+unwanted = lambda: [m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath", "hypothesis")
+                    or m.split(".")[:2] == ["numpy", "ma"]]
 loaded = {{"import": unwanted()}}
 sys.path.insert(0, {str(bench)!r})
 import inputs
@@ -435,6 +470,7 @@ inputs.write(data, inputs.panel_csv(0, 1, 20, 3))
 d = ["--data", data, "--schema", inputs.SCHEMA]
 out = {str(tmp_path)!r}
 codes = [popest.cli.main(argv) for argv in (
+    ["fit", *d, "--dist", "ztnb2", "--output", out + "/fit.json"],
     ["boot", *d, "--dist", "ztnb2", "-B", "10", "--output", out + "/boot.json"],
     ["simulate", "--phi", "2.5", "-B", "4", "--strata", "30", "--output", out + "/sim.csv"],
     ["compare", *d, "--dists", "po,ztpo,nb2,ztnb2", "--output", out + "/compare.csv"],
@@ -448,5 +484,5 @@ print(json.dumps({{"codes": codes, "loaded": loaded}}))
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["loaded"] == {"import": [], "commands": []}

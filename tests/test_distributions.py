@@ -136,6 +136,39 @@ def test_support_errors():
         log_pmf(CountFamily.from_token("zotnb2"), EtaPoint(mu=1.0, phi=1.0), 1)
 
 
+ALL_KINDS = ALL_TOKENS + ("zhang", "nb2-mixture")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    k=st.integers(min_value=0, max_value=10**6),
+    mu=st.floats(min_value=1e-3, max_value=1e4),
+)
+def test_non_integer_count_is_a_support_error(kind, k, mu):
+    # Each count's log(m!) and count sums are looked up by its integer part,
+    # so a count such as k + 0.5 would silently give another count's term.
+    phi = 2.5 if kind_needs_phi(kind) else None
+    m = kind_support_min(kind) + k + 0.5
+    with pytest.raises(SupportError, match="non-integer count"):
+        term_loglik(kind, mu, phi, m)
+    with pytest.raises(SupportError, match="non-integer count"):
+        term_derivatives(kind, [mu, mu], phi, [m - 0.5, m])
+    with pytest.raises(SupportError, match="non-integer count"):
+        check_kind_args(kind, phi, np.array([m]))
+    if kind in ALL_TOKENS:
+        with pytest.raises(SupportError, match="non-integer count"):
+            log_pmf(CountFamily.from_token(kind), EtaPoint(mu=mu, phi=phi), m)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_integral_float_counts_are_counts(kind):
+    phi = 2.5 if kind_needs_phi(kind) else None
+    m = kind_support_min(kind) + 3
+    assert term_loglik(kind, 1.7, phi, float(m)) == term_loglik(kind, 1.7, phi, m)
+    _assert_same_derivs(term_derivatives(kind, 1.7, phi, float(m)), term_derivatives(kind, 1.7, phi, m))
+
+
 def test_sampler_ztpo_frequency():
     rng = np.random.default_rng(5)
     fam = CountFamily.from_token("ztpo")

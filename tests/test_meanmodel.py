@@ -352,6 +352,20 @@ def test_full_data_functions_reject_count_below_support(kind, m):
         score_and_hessian_kind(md, kind, params)
 
 
+@pytest.mark.parametrize("kind", ["po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2", "zhang", "nb2-mixture"])
+def test_full_data_functions_reject_non_integer_counts(kind):
+    md = ModelData(
+        m=np.array([3.0, 4.5]), log_N=np.log([100.0, 300.0]),
+        log_ratio=np.log([0.1, 0.1]), X=np.ones((2, 1)), Z=np.ones((2, 1)),
+        index=["a", "b"],
+    )
+    params = ParamVector(np.array([0.5]), np.array([0.4]), phi=2.0)
+    with pytest.raises(SupportError, match="non-integer count"):
+        loglik_kind(md, kind, params)
+    with pytest.raises(SupportError, match="non-integer count"):
+        score_and_hessian_kind(md, kind, params)
+
+
 @pytest.mark.parametrize(
     "kind, alpha",
     [pytest.param(k, 60.0, id=k) for k in ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zhang")]

@@ -272,6 +272,26 @@ def test_count_below_support_names_the_record():
         fit(data, model)
 
 
+def test_non_integer_count_names_the_record():
+    # Dataset(records=...) takes any count; parse_csv would have refused it.
+    records = synth_records(5, 30)
+    records[7] = dataclasses.replace(records[7], m=records[7].m + 0.5)
+    data = Dataset(records=tuple(records), domain_names=("sex", "age"))
+    model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
+    message = f"record {records[7].key} has m={records[7].m:g}, not an integer count of ztnb2"
+    with pytest.raises(SupportError, match=re.escape(message)):
+        fit(data, model)
+
+
+def test_integral_float_counts_fit_as_counts():
+    records = synth_records(5, 30)
+    as_float = [dataclasses.replace(r, m=float(r.m)) for r in records]
+    model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
+    a, b = (fit(Dataset(records=tuple(r), domain_names=("sex", "age")), model)
+            for r in (records, as_float))
+    assert a.convergence.converged and a.loglik == b.loglik and a.xi_hat == b.xi_hat
+
+
 def test_count_below_support_names_the_position_when_index_is_empty():
     # A ModelData without record keys (index=[], as the acceptance gate
     # builds it) names a record by its position.

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from popest import mle
+from popest import mle, simulation
 from popest.meanmodel import ModelData, ParamVector
 from popest.meanmodel import loglik_kind
 from popest.simulation import (
     PARAMETERS,
     SimDesign,
     VARIANT_KINDS,
-    _replicates,
+    _draw,
     aggregate_metrics,
     run_simulation,
     synthetic_population,
@@ -59,6 +59,13 @@ def test_design_validation():
         SimDesign(variants=("nb2-closed", "zt-nb2", "nb2-closed"), population=((10, 5),))
     with pytest.raises(ValueError, match="0 < n < N"):
         SimDesign(population=((10, 10),))
+    # A replicate keeps at most the population's strata and needs 3 to fit,
+    # so a smaller population could only fail every replicate.
+    population = tuple(synthetic_population(3, 1))
+    for strata in range(3):
+        with pytest.raises(ValueError, match=f"population has {strata} strata"):
+            SimDesign(population=population[:strata])
+    SimDesign(population=population)
 
 
 def _design(B=20, seed=1, strata=40, **kw):
@@ -76,11 +83,33 @@ def _replicate_args(design):
     return log_N, log_ratio, mu
 
 
+def _per_replicate(design):
+    """variant -> estimates or None, per replicate: the replicates that keep
+    enough strata are refitted by ``mle.refit_many``, in one block as
+    ``run_simulation`` refits them for these designs."""
+    log_N, log_ratio, mu = _replicate_args(design)
+    assert design.B <= mle.presolve_rows(len(mu))
+    ones = np.ones((len(mu), 1))
+    md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
+    drawn = [_draw(b, design, log_N, log_ratio, mu) for b in range(design.B)]
+    out = [dict.fromkeys(design.variants) for _ in drawn]
+    fitted = [b for b, r in enumerate(drawn) if r is not None]
+    m, keep, starts = (np.array(x) for x in zip(*(drawn[b] for b in fitted)))
+    kinds = [VARIANT_KINDS[variant] for variant in design.variants]
+    refits = mle.refit_many(md, np.where(keep, m, 1.0), kinds, starts, keep)
+    for variant, rows in zip(design.variants, refits):
+        for b, params in zip(fitted, rows):
+            if params is not None:
+                out[b][variant] = {"alpha": float(params.alpha[0]), "beta": float(params.beta[0]),
+                                   "phi": float(params.phi), "xi": mle.xi_from_alpha(md, params.alpha)}
+    return out
+
+
 def test_exact_arms_agree_per_replicate():
     # exact-gamma and nb2-closed maximize the same likelihood, so they must
     # succeed or fail together.
     design = _design(B=8, variants=("exact-gamma", "nb2-closed"))
-    for out in _replicates(design, *_replicate_args(design)):
+    for out in _per_replicate(design):
         eg, nc = out["exact-gamma"], out["nb2-closed"]
         assert (eg is None) == (nc is None)
         if eg is None:
@@ -104,8 +133,24 @@ def test_fit_at_optimum_with_stalled_line_search_is_converged():
     # In replicate 15 of this design the zhang fit reaches its optimum with
     # max|g| above 1e-4 and no halving that raises the log-likelihood.
     design = _design(strata=80, variants=("zhang-approx",))
-    out = _replicates(design, *_replicate_args(design))[15]
+    out = _per_replicate(design)[15]
     assert out["zhang-approx"] is not None
+
+
+def test_replicate_with_too_few_strata_fails_every_variant(monkeypatch):
+    # Strata with mean below 1 often draw 0 and are dropped, leaving some
+    # replicates fewer than 3 strata to fit. With every refit converging,
+    # those replicates are the failures, in every variant.
+    design = SimDesign(population=((100_000, 10_000),) + ((10, 1),) * 3, B=20, seed=4)
+    log_N, log_ratio, mu = _replicate_args(design)
+    dropped = [b for b in range(design.B) if _draw(b, design, log_N, log_ratio, mu) is None]
+    assert 0 < len(dropped) < design.B
+    truth = ParamVector(np.array([design.alpha_true]), np.array([design.beta_true]), design.phi_true)
+    monkeypatch.setattr(simulation, "refit_many",
+                        lambda md, M, kinds, start, mask: [[truth] * len(M) for _ in kinds])
+    report = run_simulation(design)
+    assert report.failures == dict.fromkeys(design.variants, len(dropped))
+    assert report.metrics["zt-nb2"]["alpha"] == {"rb_percent": 0.0, "rrmse_percent": 0.0}
 
 
 def test_zhang_loglik_differs_from_exact():
@@ -188,7 +233,7 @@ def test_variant_kinds_cover_all_arms():
 
 def test_failed_refits_are_counted_per_variant(monkeypatch):
     design = _design(B=6, strata=30)
-    clean = _replicates(design, *_replicate_args(design))
+    clean = _per_replicate(design)
     assert all(row is not None for r in clean for row in r.values())
     failed = {"nb2": {1: "raise", 4: "stall"}, "ztnb2": {2: "raise"}}
     fail_refits(monkeypatch, mle, lambda kind, i: failed.get(kind, {}).get(i))
