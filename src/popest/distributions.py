@@ -3,7 +3,10 @@
 Supports Poisson and NB2 (negative binomial with mean mu and dispersion phi,
 variance mu + mu^2/phi), each optionally zero-truncated or zero-one-truncated.
 A Stirling-reduced NB2 log-likelihood term is provided for the bias
-simulation; it must never be used for production fitting.
+simulation; it must never be used for production fitting. Both truncations
+divide by the mass d = -expm1(-Q) of the support, with Q = -log P(X < lo)
+taken without cancellation, so that d stays exact as mu -> 0; a d below the
+smallest normal float counts as no mass.
 
 Each kind's per-record log-likelihood term has one implementation,
 ``term_loglik_kernel``. The public functions (``term_loglik``, ``log_pmf``,
@@ -63,7 +66,7 @@ class ParameterError(ValueError):
 
 
 class SupportError(ValueError):
-    """Raised when a count lies below the truncated support."""
+    """Raised when a count is not a finite integer in the truncated support."""
 
 
 class SamplingError(RuntimeError):
@@ -208,6 +211,7 @@ _LOG_FACTORIAL = np.array([math.fsum(_LOGS[:j]) for j in range(_CAP + 1)])
 # below _LARGE_PHI_CUT.
 _SERIES_CUT = 1e-4
 _LARGE_PHI_CUT = 0.1
+_TINY = np.finfo(float).tiny
 
 
 def _series_cut(phi):
@@ -354,35 +358,26 @@ def _gamma_ratio(counts: DistinctCounts, phi):
     return (sums - counts.log_factorial)[counts.inverse]
 
 
-def _log_f0(family: Family, mu, phi):
-    if family is Family.POISSON:
-        return -np.asarray(mu, dtype=float)
-    return -phi * np.log1p(mu / phi)
-
-
-def _log_f1(family: Family, mu, phi):
-    if family is Family.POISSON:
-        return np.log(mu) - mu
-    return _log_f0(family, mu, phi) + np.log(phi) + np.log(mu) - np.log(mu + phi)
-
-
-def _trunc_normalizer(fam: CountFamily, mu, phi, lf0=None):
-    """(d, log f(0)) with d = 1 - f(0) [- f(1)], the mass of the truncated
-    support. Only for truncated families; d is not checked. ``lf0``, if
-    given, is log f(0)."""
-    lf0 = _log_f0(fam.family, mu, phi) if lf0 is None else lf0
-    d = -np.expm1(lf0)
-    if fam.truncation is Truncation.ZERO_ONE:
-        d = d - np.exp(_log_f1(fam.family, mu, phi))
-    return d, lf0
-
-
-def _checked_normalizer(fam: CountFamily, mu, phi) -> np.ndarray:
-    """d of ``_trunc_normalizer``, which must be positive."""
-    d = _trunc_normalizer(fam, mu, phi)[0]
-    if np.any(d <= 0):
-        raise NumericalError("truncated support carries no mass")
-    return d
+def _trunc_normalizer(fam: CountFamily, mu, phi, q=None):
+    """(d, Q) of a truncated family: Q = -log P(X < lo), the tail below the
+    support, and d = -expm1(-Q), the mass of the support, NaN where it is
+    below the smallest normal float (no mass). ``q``, if given, is
+    -log f(0), which is Q under zero truncation. Under zero-one truncation
+    Q = q - log1p(rho), with rho = f(1)/f(0) = mu/(1 + x) and x = mu/phi
+    (rho = mu for Poisson), taken without their cancellation as mu -> 0."""
+    if q is None:
+        q = mu if fam.family is Family.POISSON else phi * np.log1p(mu / phi)
+    if fam.truncation is Truncation.ZERO:
+        tail = q
+    elif fam.family is Family.POISSON:
+        tail = -_log1p_minus(mu, _LARGE_PHI_CUT)
+    else:  # at x <= 1 as phi (log1p(x) - x) + rho x - (log1p(rho) - rho)
+        x = mu / phi
+        rho = mu / (1.0 + x)
+        near = phi * _log1p_minus(x, _LARGE_PHI_CUT) + rho * x - _log1p_minus(rho, _LARGE_PHI_CUT)
+        tail = np.where(x <= 1.0, near, q - np.log1p(rho))
+    d = -np.expm1(-tail)
+    return np.where(d >= _TINY, d, np.nan), tail
 
 
 def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
@@ -390,17 +385,21 @@ def _check_support(fam: CountFamily, kind: str, m: np.ndarray) -> None:
         raise SupportError(f"count below support minimum {fam.support_min} for {kind}")
     if (np.floor(m) != m).any():
         raise SupportError(f"non-integer count for {kind}")
+    if m.max(initial=0.0) == np.inf:
+        raise SupportError(f"infinite count for {kind}")
 
 
 def _checked(kind: str, mu, phi, m, counts: DistinctCounts | None = None):
-    """Family of ``kind`` and (mu, m) as float arrays, after the argument and
-    support checks shared by ``term_loglik`` and ``term_derivatives``; the
-    counts are checked through their distinct values when given."""
+    """Family of ``kind`` and (mu, m) as float arrays, after the argument,
+    support and normalizer checks of ``term_loglik`` and ``term_derivatives``;
+    the counts are checked through their distinct values when given."""
     fam = kind_family(kind)
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     m = np.asarray(m, dtype=float)
     check_kind_args(kind, phi, m if counts is None else counts.values)
+    if fam.truncation is not Truncation.NONE and np.isnan(_trunc_normalizer(fam, mu, phi)[0]).any():
+        raise NumericalError("truncated support carries no mass")
     return fam, mu, m
 
 
@@ -427,8 +426,6 @@ def term_loglik(kind: str, mu, phi, m) -> np.ndarray:
     Stirling remainder integral, for the bias simulation only.
     """
     fam, mu, m = _checked(kind, mu, phi, m)
-    if fam.truncation is not Truncation.NONE:
-        _checked_normalizer(fam, mu, phi)
     return term_loglik_kernel(fam, kind, mu, phi, m)
 
 
@@ -445,7 +442,7 @@ def term_loglik_kernel(
         b = m + phi
         return m * np.log(mu) - b * np.log(a) + (b - 0.5) * np.log(b) + 0.5 * np.log(phi)
     counts = DistinctCounts.of(m) if counts is None else counts
-    lf0 = None
+    q = None
     if fam.family is Family.POISSON:
         ll = m * np.log(mu) - mu - counts.log_factorial[counts.inverse]
     elif kind == "nb2-mixture":
@@ -455,9 +452,9 @@ def term_loglik_kernel(
     else:
         log1p_x = np.log1p(mu / phi)
         ll = _gamma_ratio(counts, phi) + m * np.log(mu) - (m + phi) * log1p_x
-        lf0 = -phi * log1p_x
+        q = phi * log1p_x
     if fam.truncation is not Truncation.NONE:
-        ll = ll - np.log(_trunc_normalizer(fam, mu, phi, lf0)[0])
+        ll = ll - np.log(_trunc_normalizer(fam, mu, phi, q)[0])
     return ll
 
 
@@ -592,6 +589,9 @@ def _poisson_derivs(mu, phi, m, counts, fam: CountFamily):
     if fam.truncation is Truncation.ZERO:  # q = mu
         r, rr, d_mu = _zero_truncation(fam, mu, phi, m)
         d_mumu = d_mumu + rr
+    elif fam.truncation is Truncation.ZERO_ONE:  # Q = mu - log1p(mu)
+        tail_derivs = (mu / (1.0 + mu), 1.0 / (1.0 + mu) ** 2)
+        return _zero_one_truncation(fam, mu, phi, None, (d_mu, d_mumu), tail_derivs)
     return d_mu, d_mumu, None, None, None
 
 
@@ -625,18 +625,32 @@ def _nb2_derivs(mu, phi, m, counts, fam: CountFamily):
     d_phi = (mu * inv - share) / a + h_phi
     d_phiphi = (share2 - mu * (2.0 * phi + mu) * inv2) / a2 + h_phiphi
     d_muphi = (m - mu) / a2
-    if fam.truncation is not Truncation.ZERO:
-        return phi * (m - mu) / (mu * a), d_mumu, d_phi, d_phiphi, d_muphi
-    # less the partials of log(1 - f(0)), with q = -log f(0): r h' to each
-    # first and r h'' + r (1 + r) h' h' to each second partial
-    r, rr, score = _zero_truncation(fam, mu, phi, m, x, log1p_x)
-    dq_dmu = phi / a
-    return (
-        dq_dmu * score,
-        d_mumu + r * phi / a2 + rr * dq_dmu**2,
-        d_phi + r * h_phi,
-        d_phiphi + r * h_phiphi + rr * h_phi**2,
-        d_muphi - r * mu / a2 - rr * dq_dmu * h_phi,
+    if fam.truncation is Truncation.ZERO:
+        # less the partials of log(1 - f(0)), with q = -log f(0): r h' to
+        # each first and r h'' + r (1 + r) h' h' to each second partial
+        r, rr, score = _zero_truncation(fam, mu, phi, m, x, log1p_x)
+        dq_dmu = phi / a
+        return (
+            dq_dmu * score,
+            d_mumu + r * phi / a2 + rr * dq_dmu**2,
+            d_phi + r * h_phi,
+            d_phiphi + r * h_phiphi + rr * h_phi**2,
+            d_muphi - r * mu / a2 - rr * dq_dmu * h_phi,
+        )
+    derivs = (phi * (m - mu) / (mu * a), d_mumu, d_phi, d_phiphi, d_muphi)
+    if fam.truncation is Truncation.NONE:
+        return derivs
+    b = a + mu * phi  # Q = q + log a - log b
+    ab, ab2 = a * b, (a * b) ** 2
+    return _zero_one_truncation(
+        fam, mu, phi, phi * log1p_x, derivs,
+        (
+            phi * mu * (1.0 + phi) / ab,
+            phi * (1.0 + phi) * (phi * phi - mu * mu * (1.0 + phi)) / ab2,
+            -h_phi - mu * mu / ab,
+            mu * mu * (phi * phi - mu * mu * (1.0 + phi + phi * phi)) / (phi * ab2),
+            mu * (b * mu * (1.0 + phi) - phi * a) / ab2,
+        ),
     )
 
 
@@ -655,43 +669,6 @@ def _zhang_derivs(mu, phi, m, counts, fam: CountFamily):
     return d_mu, d_mumu, d_phi, d_phiphi, d_muphi
 
 
-def _poisson_mass_derivs(mu, which: int):
-    """First/second mu-derivatives of f(which) for Poisson (no phi partials)."""
-    f0 = np.exp(-mu)
-    if which == 0:
-        return -f0, f0, 0.0, 0.0, 0.0
-    return (1.0 - mu) * f0, (mu - 2.0) * f0, 0.0, 0.0, 0.0
-
-
-def _nb2_mass_derivs(mu, phi, which: int):
-    """Partials of f(which) wrt (mu, phi) for NB2, via log-derivatives."""
-    a = mu + phi
-    g_mu = -phi / a
-    g_mumu = phi / a**2
-    g_phi = _dlogf0_dphi(mu / phi, np.log1p(mu / phi), _series_cut(phi))
-    g_phiphi = mu**2 / (phi * a**2)
-    g_muphi = -mu / a**2
-    if which == 0:
-        logf = _log_f0(Family.NB2, mu, phi)
-        h_mu, h_mumu = g_mu, g_mumu
-        h_phi, h_phiphi, h_muphi = g_phi, g_phiphi, g_muphi
-    else:
-        logf = _log_f1(Family.NB2, mu, phi)
-        h_mu = g_mu + 1.0 / mu - 1.0 / a
-        h_mumu = g_mumu - 1.0 / mu**2 + 1.0 / a**2
-        h_phi = g_phi + mu / (phi * a)
-        h_phiphi = g_phiphi - mu * (2.0 * phi + mu) / (phi * a) ** 2
-        h_muphi = g_muphi + 1.0 / a**2
-    f = np.exp(logf)
-    return (
-        f * h_mu,
-        f * (h_mu**2 + h_mumu),
-        f * h_phi,
-        f * (h_phi**2 + h_phiphi),
-        f * (h_mu * h_phi + h_muphi),
-    )
-
-
 def _inv_minus_inv_expm1(q, r):
     """1/q - 1/expm1(q) for q > 0, given r = 1/expm1(q); below
     ``_SERIES_CUT`` from its series 1/2 - q/12 + q^3/720."""
@@ -702,29 +679,45 @@ def _inv_minus_inv_expm1(q, r):
     return out
 
 
+def _tail_ratio(fam: CountFamily, mu, phi, q=None):
+    """(r, Q) of a truncated family: r = P(X < lo)/P(X >= lo) = e^-Q/d with
+    (d, Q) of ``_trunc_normalizer``, NaN where the support has no mass."""
+    d, tail = _trunc_normalizer(fam, mu, phi, q)
+    return np.exp(-tail) / d, tail
+
+
+def _zero_one_truncation(fam: CountFamily, mu, phi, q, derivs, tail_derivs):
+    """The untruncated partials ``derivs``, (d_mu, d_mumu[, d_phi, d_phiphi,
+    d_muphi]), less those of log d = log(1 - e^-Q), given Q's partials
+    ``tail_derivs`` in the same order: r Q' off each first partial and
+    r Q'' - (r Q')((1 + r) Q') off each second, a product that overflows
+    only where the result does. ``q`` is as ``_trunc_normalizer`` takes it."""
+    r = _tail_ratio(fam, mu, phi, q)[0]
+    (t_mu, t_mumu, *t_phi), (q_mu, q_mumu, *q_phi) = derivs, tail_derivs
+    r_mu = r * q_mu
+    out = (t_mu - r_mu, t_mumu - r * q_mumu + r_mu * ((1.0 + r) * q_mu))
+    if not q_phi:
+        return out + (None, None, None)
+    (t_phi, t_phiphi, t_muphi), (q_phi, q_phiphi, q_muphi) = t_phi, q_phi
+    r_phi, s_phi = r * q_phi, (1.0 + r) * q_phi
+    return out + (
+        t_phi - r_phi,
+        t_phiphi - r * q_phiphi + r_phi * s_phi,
+        t_muphi - r * q_muphi + r_mu * s_phi,
+    )
+
+
 def _zero_truncation(fam: CountFamily, mu, phi, m, x=None, log1p_x=None):
     """(r, r (1 + r), m/mu - 1 - r) of a zero-truncated family, where
     r = f(0)/(1 - f(0)) = 1/expm1(q) and q = -log f(0): the term's d/dq is
     m/mu - 1 - r times dmu/dq. As mu -> 0, r ~ 1/mu cancels m/mu, so that is
     taken as (m-1)/mu - 1 + (1/mu - 1/q) + (1/q - r). r is NaN where the
     support has no mass. For NB2, x = mu/phi and log1p_x = log1p(x)."""
-    d, lf0 = _trunc_normalizer(fam, mu, phi, None if x is None else -phi * log1p_x)
-    r = np.where(d > 0, np.exp(lf0) / d, np.nan)
-    q = -lf0
+    r, q = _tail_ratio(fam, mu, phi, None if x is None else phi * log1p_x)
     score = (m - 1.0) / mu - 1.0 + _inv_minus_inv_expm1(q, r)
     if fam.family is Family.NB2:  # 1/mu - 1/q = phi (log1p(x) - x)/(mu q)
         score = score + phi * _log1p_minus(x, log1p_x=log1p_x) / (mu * q)
     return r, r * (1.0 + r), score
-
-
-def _trunc_mass(fam: CountFamily, mu, phi):
-    """Partials (mu, mumu, phi, phiphi, muphi) of S = f(0) + f(1), for the
-    zero-one-truncated normalizer d = 1 - S."""
-    if fam.family is Family.POISSON:
-        parts = [_poisson_mass_derivs(mu, w) for w in (0, 1)]
-    else:
-        parts = [_nb2_mass_derivs(mu, phi, w) for w in (0, 1)]
-    return [sum(p[k] for p in parts) for k in range(5)]
 
 
 def term_derivatives(
@@ -737,10 +730,7 @@ def term_derivatives(
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
     fam, mu, m = _checked(kind, mu, phi, m, counts)
-    t = term_derivatives_kernel(fam, kind, mu, phi, m, counts)
-    if fam.truncation is not Truncation.NONE and not np.isfinite(t.d_mu).all():
-        _checked_normalizer(fam, mu, phi)
-    return t
+    return term_derivatives_kernel(fam, kind, mu, phi, m, counts)
 
 
 def term_derivatives_kernel(
@@ -753,19 +743,7 @@ def term_derivatives_kernel(
         base = _zhang_derivs
     else:
         base = _poisson_derivs if fam.family is Family.POISSON else _nb2_derivs
-    derivs = base(mu, phi, m, counts, fam)
-    d_mu, d_mumu, d_phi, d_phiphi, d_muphi = derivs
-    if fam.truncation is Truncation.ZERO_ONE:
-        d = _trunc_normalizer(fam, mu, phi)[0]
-        d = np.where(d > 0, d, np.nan)
-        s_mu, s_mumu, s_phi, s_phiphi, s_muphi = _trunc_mass(fam, mu, phi)
-        d_mu = d_mu + s_mu / d
-        d_mumu = d_mumu + s_mumu / d + (s_mu / d) ** 2
-        if fam.has_dispersion:
-            d_phi = d_phi + s_phi / d
-            d_phiphi = d_phiphi + s_phiphi / d + (s_phi / d) ** 2
-            d_muphi = d_muphi + s_muphi / d + s_mu * s_phi / d**2
-    return TermDerivs(d_mu, d_mumu, d_phi, d_phiphi, d_muphi)
+    return TermDerivs(*base(mu, phi, m, counts, fam))
 
 
 # Every likelihood kind's family; both simulation arms are untruncated NB2

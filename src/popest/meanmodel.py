@@ -23,6 +23,7 @@ from .distributions import (
     CountFamily,
     DistinctCounts,
     NumericalError,
+    SupportError,
     check_kind_args,
     term_derivatives,
     term_loglik_kernel,
@@ -216,8 +217,12 @@ def prepare(data: Dataset, design: DesignSpec) -> ModelData:
             f"record {rec.key} violates the model conditions; "
             f"run apply_model_conditions first"
         )
-    X, Z, index = build_design(data, design)
+    for name, col in zip(("m", "n", "N"), data.columns):
+        if col.max(initial=0.0) == np.inf:
+            key = data.keys[int(np.argmax(col))]
+            raise SupportError(f"record {key} has {name}=inf, not a finite count")
     m, n, N = data.columns
+    X, Z, index = build_design(data, design)
     return ModelData(
         m=m, log_N=np.log(N), log_ratio=np.log(n) - np.log(N), X=X, Z=Z, index=index
     )

@@ -1,5 +1,7 @@
 """Distribution kernel: closed forms, normalization, truncation, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,18 @@ def test_normalization_sums_to_one(token):
         for phi in ((0.5, 1.0, 2.5, 10.0) if fam.has_dispersion else (None,)):
             total = np.exp(log_pmf(fam, EtaPoint(mu=mu, phi=phi), grid)).sum()
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["ztpo", "zotpo", "ztnb2", "zotnb2"])
+def test_truncated_pmf_sums_to_one_at_small_means(kind):
+    # The normalizer must be the mass of the support at every mean, also
+    # where that mass is a tiny remainder of 1 (of order mu^2 under
+    # zero-one truncation). Summed exactly over the support to k < 20 000.
+    k = np.arange(kind_support_min(kind), 20_000, dtype=float)
+    for mu in (1e-10, 1e-6, 1e-3, 0.1, 10.0):
+        for phi in (0.5, 2.5, 1e4) if kind_needs_phi(kind) else (None,):
+            total = math.fsum(np.exp(term_loglik(kind, mu, phi, k)))
+            assert abs(total - 1.0) <= 1e-12, (mu, phi, total)
 
 
 @pytest.mark.parametrize("family", [Family.POISSON, Family.NB2])
@@ -159,6 +173,22 @@ def test_non_integer_count_is_a_support_error(kind, k, mu):
     if kind in ALL_TOKENS:
         with pytest.raises(SupportError, match="non-integer count"):
             log_pmf(CountFamily.from_token(kind), EtaPoint(mu=mu, phi=phi), m)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_infinite_count_is_a_support_error(kind):
+    # np.floor(inf) == inf, so the integer check alone would let m = inf
+    # through to a NaN term.
+    phi = 2.5 if kind_needs_phi(kind) else None
+    with pytest.raises(SupportError, match="infinite count"):
+        term_loglik(kind, 2.0, phi, np.inf)
+    with pytest.raises(SupportError, match="infinite count"):
+        term_derivatives(kind, [2.0, 2.0], phi, [5.0, np.inf])
+    with pytest.raises(SupportError, match="infinite count"):
+        check_kind_args(kind, phi, np.array([5.0, np.inf]))
+    if kind in ALL_TOKENS:
+        with pytest.raises(SupportError, match="infinite count"):
+            log_pmf(CountFamily.from_token(kind), EtaPoint(mu=2.0, phi=phi), np.inf)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -335,7 +365,7 @@ def test_term_derivatives_do_not_evaluate_the_term(kind, monkeypatch):
         ("zotnb2", 1.0, -2.0, 2, ParameterError),
         ("ztpo", 1.0, None, 0, SupportError),
         ("zotnb2", 1.0, 1.0, 1, SupportError),
-        ("zotpo", 1e-120, None, 2, NumericalError),  # no mass left after cancellation
+        ("zotpo", 1e-160, None, 2, NumericalError),  # mass below the smallest normal float
     ],
 )
 def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):

@@ -17,8 +17,9 @@ Every value must lie within 1e-10 of the oracle, relative to a scale:
   of the terms that cancel in f: as phi grows, d/dphi sums terms of size
   m/phi to a value of size m/phi^2, and its slopes are of size m/phi^2 too.
 
-The zero-one-truncated kinds are checked only at mu >= 0.1: below it their
-normalizer 1 - f(0) - f(1) is formed by cancellation (ROADMAP item 3).
+The zero-one-truncated kinds' ll is checked over the whole mu range, their
+derivatives only at mu >= 0.1: below it, at m = 2, d/dmu cancels m/mu
+against the truncation's term of the same size (ROADMAP item 3).
 """
 
 import mpmath as mp
@@ -124,3 +125,28 @@ def test_kernel_agrees_with_a_60_digit_oracle(kind, m, log_mu, log_phi):
                 got.d_phiphi, d_phiphi, max(abs(x * d_muphiphi), abs(p * d_phi3))
             )
     assert max(errors.values()) <= TOL, errors
+
+
+@pytest.mark.parametrize("kind", ("zotpo", "zotnb2"))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    m=st.one_of(st.integers(2, 130), st.integers(2, 100_000)),
+    log_mu=st.floats(-10.0, 6.0),
+    log_phi=st.floats(-6.0, 8.0),
+)
+# the smallest means, where the mass of the support is of order mu^2; the
+# NB2 tail's change of form at x = mu/phi = 1; and x or rho = mu/(1 + x) at
+# the 0.1 cut of their log1p(.) - (.) series
+@example(m=2, log_mu=-10.0, log_phi=-6.0)
+@example(m=2, log_mu=-10.0, log_phi=8.0)
+@example(m=2, log_mu=0.5, log_phi=0.5)
+@example(m=5, log_mu=0.5, log_phi=0.5 - 1e-12)
+@example(m=2, log_mu=-1.0, log_phi=0.0)
+@example(m=3, log_mu=-1.0, log_phi=8.0)
+def test_zero_one_truncated_loglik_agrees_with_the_oracle_at_every_mean(kind, m, log_mu, log_phi):
+    mu = 10.0**log_mu
+    phi = 10.0**log_phi if kind_needs_phi(kind) else None
+    got = term_loglik(kind, mu, phi, float(m))
+    with mp.workdps(DIGITS):
+        exact = _exact_loglik(kind, m)(mp.mpf(mu), mp.mpf(phi or 1.0))
+    assert _error(got, exact, 1.0) <= TOL

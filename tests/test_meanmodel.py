@@ -369,13 +369,15 @@ def test_full_data_functions_reject_non_integer_counts(kind):
 @pytest.mark.parametrize(
     "kind, alpha",
     [pytest.param(k, 60.0, id=k) for k in ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zhang")]
-    + [pytest.param(k, -60.0, id=f"{k}-underflow") for k in ("po", "ztpo", "nb2", "ztnb2", "zhang")],
+    + [
+        pytest.param(k, -60.0, id=f"{k}-underflow")
+        for k in ("po", "ztpo", "zotpo", "nb2", "ztnb2", "zotnb2", "zhang")
+    ],
 )
 def test_overflowing_mu_names_the_record(kind, alpha):
     # mu = N^60 overflows, and N^-60 underflows to 0, for N = 1e6 only; the
     # line search must see a NumericalError that names that record, not a
-    # ParameterError or the truncation normalizer's unnamed error. (zotpo
-    # loses all mass by cancellation at the other records' mu ~ 1e-120.)
+    # ParameterError or the truncation normalizer's unnamed error.
     records = [rec(m=3), rec("Georgia", m=7, n=30, N=10**6), rec("Belarus", m=4, n=9, N=90)]
     md = prepare(dataset(*records), DesignSpec())
     phi = 2.0 if kind_needs_phi(kind) else None

@@ -283,6 +283,19 @@ def test_non_integer_count_names_the_record():
         fit(data, model)
 
 
+@pytest.mark.parametrize("field", ["m", "N"])
+def test_infinite_count_names_the_record(field):
+    # np.floor(inf) == inf, so only a finiteness check stops an infinite
+    # count before log m! and log N are taken; prepare names its record.
+    records = synth_records(5, 30)
+    records[7] = dataclasses.replace(records[7], **{field: float("inf")})
+    data = Dataset(records=tuple(records), domain_names=("sex", "age"))
+    model = ModelSpec(family=CountFamily.from_token("ztnb2"), design=DesignSpec())
+    message = f"record {records[7].key} has {field}=inf, not a finite count"
+    with pytest.raises(SupportError, match=re.escape(message)):
+        fit(data, model)
+
+
 def test_integral_float_counts_fit_as_counts():
     records = synth_records(5, 30)
     as_float = [dataclasses.replace(r, m=float(r.m)) for r in records]
