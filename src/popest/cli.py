@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
-from itertools import chain
+from contextlib import ExitStack
+from itertools import chain, zip_longest
 
 from . import dataio, diagnostics, mle, simulation, uncertainty
 from .distributions import _FAMILY_TOKENS, CountFamily, ParameterError, SupportError
@@ -75,14 +77,22 @@ def _load_and_fit(args) -> mle.FittedModel:
     return mle.fit(data, _model_spec(args.dist, args.alpha_cov, args.beta_cov))
 
 
-def _write(pieces, path: str | None) -> None:
+@dataio.collector_paused()
+def _write(pieces, path: str | None, *more: tuple) -> None:
     """Write a report's pieces of text, which end in a newline, to ``path`` or
-    stdout as they are formatted; the report exists before the file is opened."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    stdout as they are formatted; the report exists before the file is opened.
+    Each ``(pieces, path)`` of ``more`` is written with it, a piece of each in
+    turn, so reports formatted from one pass (``DiagnosticsReport.pieces``)
+    are written together; every file is opened before the first byte is
+    written. The cyclic collector is paused meanwhile: formatting makes lists,
+    tuples and str that hold no cycle."""
+    outputs = [(pieces, path), *more]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) if p
+                 else sys.stdout for _, p in outputs]
+        for parts in zip_longest(*(pieces for pieces, _ in outputs), fillvalue=""):
+            for fh, part in zip(files, parts):
+                fh.write(part)
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -169,14 +179,15 @@ def cmd_boot(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.top_k < 0:
         raise UsageError("--top-k must be nonnegative")
+    if args.csv and args.output and os.path.realpath(args.csv) == os.path.realpath(args.output):
+        raise UsageError("--csv and --output name the same file")  # both are written at once
     fitted = _load_and_fit(args)
     report = diagnostics.diagnostics_report(fitted, k=args.top_k)
-    _write(chain(report.json_pieces(), ["\n"]), args.output)
     if args.csv:
-        header = ["period", "country", "domain", "m", "mu_hat", "residual"]
-        rows = zip(report.period, report.country, map("|".join, report.domain),
-                   report.m, report.mu_hat, report.residual)
-        _write(dataio.csv_lines(header, rows), args.csv)
+        json_text, csv_text = report.pieces()
+        _write(chain(json_text, ["\n"]), args.output, (csv_text, args.csv))
+    else:
+        _write(chain(report.json_pieces(), ["\n"]), args.output)
     return 0
 
 

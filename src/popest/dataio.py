@@ -8,12 +8,15 @@ Parsing keeps no rows: they are read a block at a time into the columns.
 Every JSON report is written by ``json_pieces`` and every CSV report by
 ``csv_lines``; both yield their text in pieces as they format it, so a
 report's text is never held whole unless a caller joins it (``dumps``).
+``number_cells`` formats a block of numbers once for both writers.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -23,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
-_BLOCK = 4096  # rows parsed, or written as JSON, at a time
+_BLOCK = 4096  # rows parsed, or written, at a time
 PSEUDO_COUNTRY = "other"  # country label of the records that pool nonconforming strata
 
 
@@ -185,22 +188,57 @@ def _json_text(value, depth: int = 0) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
+class JSONText(list):
+    """A block's column of cells that are already JSON text (``number_cells``):
+    ``json_pieces`` writes them as they are."""
+
+
+_CSV_NONFINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def number_cells(values: list) -> tuple[list, list]:
+    """The cells of a block of numbers for ``json_pieces`` and for
+    ``csv_lines``, each value formatted once: one list of text for both (json
+    and csv.writer spell an int or a finite float alike), with the other
+    spelling of NaN and infinity for the CSV. A block that is not all ints
+    and floats is returned as it is to both writers, which format it."""
+    if not set(map(type, values)) <= {int, float}:
+        return values, values
+    text = json.dumps(values)[1:-1]
+    cells = JSONText(text.split(", ") if values else [])
+    if "N" in text or "I" in text:  # NaN or Infinity: no int's or finite float's text holds either
+        return cells, [_CSV_NONFINITE.get(c, c) for c in cells]
+    return cells, cells
+
+
 def _json_values(values: list, depth: int) -> list[str]:
-    """Each value as ``_json_text`` writes it at ``depth``: an int/float
-    column in one C-encoder call, any other column once per distinct value
-    (so equal values must print alike, as strings and their tuples do)."""
+    """Each value as ``_json_text`` writes it at ``depth``: ``JSONText`` as
+    it is, an int/float column in one C-encoder call, any other column once
+    per distinct value (so equal values must print alike, as strings and
+    their tuples do)."""
+    if type(values) is JSONText:
+        return values
     if set(map(type, values)) <= {int, float}:
         return json.dumps(values)[1:-1].split(", ") if values else []
     text = {v: _json_text(v, depth) for v in dict.fromkeys(values)}
     return list(map(text.__getitem__, values))
 
 
+def column_blocks(columns: dict):
+    """``columns`` ({name: list}) ``_BLOCK`` rows at a time, as {name: slice}."""
+    n = min(map(len, columns.values()), default=0)
+    for start in range(0, n, _BLOCK):
+        yield {name: col[start:start + _BLOCK] for name, col in columns.items()}
+
+
 def _json_rows(shape, columns):
     """The text json writes at a top-level key for a list of rows, each row
-    ``shape`` with its leaves (names of ``columns``) replaced by the row's
-    values, in pieces of ``_BLOCK`` rows: one ``%`` per row of a template json
-    wrote for the shape, with its slots in json's order (dict keys sorted) and
-    each leaf column's slice formatted at its depth."""
+    ``shape`` with its leaves (column names) replaced by the row's values,
+    one piece per block of rows: ``columns`` ({name: values}) in
+    ``column_blocks``, or ``columns`` itself when it is an iterable of such
+    blocks (none empty). One ``%`` per row of a template json wrote for the
+    shape, with its slots in json's order (dict keys sorted) and each leaf
+    column formatted at its depth."""
     leaves = []  # (column name, depth) per slot
 
     def slotted(node, depth):  # a row sits 2 levels deep
@@ -213,15 +251,12 @@ def _json_rows(shape, columns):
 
     template = "    " + _json_text(slotted(shape, 2), 2).replace("%", "%%")
     template = template.replace(json.dumps("\x00"), "%s")
-    n = min((len(columns[name]) for name, _ in leaves), default=0)
-    if not n:
-        yield "[]"
-        return
-    yield "[\n"
-    for start in range(0, n, _BLOCK):
-        block = [_json_values(columns[name][start:start + _BLOCK], depth) for name, depth in leaves]
-        yield (",\n" if start else "") + ",\n".join([template % row for row in zip(*block)])
-    yield "\n  ]"
+    sep = "[\n"
+    for block in column_blocks(columns) if isinstance(columns, dict) else columns:
+        cells = [_json_values(block[name], depth) for name, depth in leaves]
+        yield sep + ",\n".join([template % row for row in zip(*cells)])
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 def json_pieces(report: dict, tables: dict | None = None):
@@ -229,7 +264,9 @@ def json_pieces(report: dict, tables: dict | None = None):
     pieces, without building the rows: ``tables`` maps a top-level key to
     ``(shape, columns)``, and its rows are ``shape`` (dicts and lists) with
     each leaf, a name of ``columns``, replaced by the row's value in that
-    column. A table's rows are written ``_BLOCK`` at a time."""
+    column. A table's rows are written a block at a time: ``_BLOCK`` rows of
+    whole columns, or the blocks of ``columns`` when it is an iterable of
+    {name: values}, as ``column_blocks`` yields them."""
     tables = tables or {}
     rest = _json_text(report | dict.fromkeys(tables))
     for key in sorted(tables):  # json's order of the top-level keys
@@ -247,12 +284,29 @@ def dumps(report: dict, tables: dict | None = None) -> str:
 
 
 def csv_lines(header: list, rows):
-    """The lines of the CSV of ``header`` and ``rows``, each formatted as it
-    is read: ``csv.writer`` on a file whose ``write`` returns the line, so
-    ``writerow`` does, with Unix line ends, quoting a field only when it holds
-    a comma, a double quote or a line break."""
+    """The text of the CSV of ``header`` and ``rows`` in pieces of
+    ``_BLOCK`` lines, each line formatted as it is read: ``csv.writer`` on a
+    file whose ``write`` returns the line, so ``writerow`` does, with Unix
+    line ends, quoting a field only when it holds a comma, a double quote or
+    a line break."""
     writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    return map(writer.writerow, chain([header], rows))
+    lines = map(writer.writerow, chain([header], rows))
+    return map("".join, iter(lambda: list(islice(lines, _BLOCK)), []))
+
+
+@contextmanager
+def collector_paused():
+    """The cyclic garbage collector off for the body, then as it was, also on
+    an error. For code that allocates many lists and tuples that hold no
+    cycle: reference counting frees them, and a collection would only walk
+    them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -325,6 +379,7 @@ def _raise_first_error(path: str, needed: dict, at: dict, i_domain: list) -> Non
             return
 
 
+@collector_paused()
 def parse_csv(path: str, schema: dict) -> Dataset:
     """Read the CSV straight into the columns of a Dataset; no condition
     filtering.
@@ -336,7 +391,9 @@ def parse_csv(path: str, schema: dict) -> Dataset:
     skipped. Rows are read ``_BLOCK`` at a time into the columns (one str per
     distinct label, one tuple per distinct domain, counts as int64), which are
     checked whole (keys for duplicates in one set); only when a read or a
-    check fails is the file read again, to name the first bad row.
+    check fails is the file read again, to name the first bad row. The
+    cyclic collector is paused meanwhile (``collector_paused``): the rows,
+    fields and keys are lists, tuples and str that hold no cycle.
     """
     domain_cols = list(schema.get("domain", []))
     needed = {k: schema[k] for k in ("period", "country", "m", "n", "N")}

@@ -7,11 +7,13 @@ the power-link mean, and a worst-fit report.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .dataio import Dataset, json_pieces
+from .dataio import Dataset, column_blocks, csv_lines, json_pieces, number_cells
 from .mle import FittedModel, linearized_ols
 
 _KAPPA_POISSON = 1e-8
@@ -27,9 +29,10 @@ def _kappa(mu_hat, phi_hat: float | None) -> float:
     return 0.0 if phi_hat is None else 1.0 / float(phi_hat)
 
 
-def _anscombe(m, mu_hat: float, kappa: float) -> float:
-    """NB2 Anscombe residual at kappa = 1/phi, unchecked; kappa below
-    _KAPPA_POISSON takes the kappa -> 0 (Poisson) limit."""
+def _anscombe(m: np.ndarray, mu_hat: np.ndarray, kappa: float) -> np.ndarray:
+    """NB2 Anscombe residual of each count at kappa = 1/phi, unchecked, as
+    float arrays; kappa below _KAPPA_POISSON takes the kappa -> 0 (Poisson)
+    limit."""
     if kappa < _KAPPA_POISSON:
         numer = 2.0 * (m - mu_hat) + 3.0 * (m ** (2.0 / 3.0) - mu_hat ** (2.0 / 3.0))
         return numer / (2.0 * mu_hat ** (1.0 / 6.0))
@@ -40,8 +43,13 @@ def _anscombe(m, mu_hat: float, kappa: float) -> float:
 
 
 def anscombe_residual(m: float, mu_hat: float, phi_hat: float | None) -> float:
-    """NB2 Anscombe residual; phi_hat=None (or huge) takes the Poisson limit."""
-    return float(_anscombe(m, mu_hat, _kappa(mu_hat, phi_hat)))
+    """NB2 Anscombe residual; phi_hat=None (or huge) takes the Poisson limit.
+    The array formula of ``diagnostics_report`` on one record, so both give
+    the same bits."""
+    if not 0.0 <= m < np.inf:
+        raise ValueError("m must be a nonnegative finite count")
+    mu = np.array([mu_hat], dtype=float)
+    return float(_anscombe(np.array([m], dtype=float), mu, _kappa(mu, phi_hat))[0])
 
 
 def _is_constant(x: np.ndarray) -> bool:
@@ -115,11 +123,22 @@ def linearized_check(data: Dataset) -> LinearizedCheck:
     )
 
 
+_ROW = {"key": ["period", "country", "domain"], "m": "m", "mu_hat": "mu_hat",
+        "residual": "residual"}  # a residual row of to_dict(), by column
+_CSV_HEADER = ["period", "country", "domain", "m", "mu_hat", "residual"]
+
+
 @dataclass
 class DiagnosticsReport:
     """Per record, in the fit's record order, its key (period, country,
-    domain), count, fitted mean and Anscombe residual, as columns; the worst
-    fits and the linearized check."""
+    domain), count, fitted mean and Anscombe residual, as columns (the
+    counts, means and residuals ints or floats); the worst fits and the
+    linearized check.
+
+    ``to_json`` and ``pieces`` format the residual rows 4 096 at a time
+    (``dataio.column_blocks``), each count, mean and residual once, for the
+    JSON and the CSV alike (``dataio.number_cells``).
+    """
 
     period: list
     country: list
@@ -150,37 +169,76 @@ class DiagnosticsReport:
             "linearized": self.linearized.to_dict(),
         }
 
+    def _blocks(self):
+        """Per block of records: the residual columns for ``json_pieces`` and
+        the residual CSV's rows, the numbers formatted once for both."""
+        for block in column_blocks({k: getattr(self, k) for k in _CSV_HEADER}):
+            numbers = {k: number_cells(block[k]) for k in ("m", "mu_hat", "residual")}
+            rows = zip(block["period"], block["country"], map("|".join, block["domain"]),
+                       *(csv_cells for _, csv_cells in numbers.values()))
+            yield block | {k: json_cells for k, (json_cells, _) in numbers.items()}, rows
+
+    def _json_pieces(self, blocks):
+        rest = {"worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
+        return json_pieces(rest, {"residuals": (_ROW, blocks)})
+
     def json_pieces(self):
         """``to_dict()``'s text in ``dataio.json_pieces``, the residual rows from the columns."""
-        rest = {"worst_fit": self.worst_fit, "linearized": self.linearized.to_dict()}
-        row = {"key": ["period", "country", "domain"], "m": "m", "mu_hat": "mu_hat",
-               "residual": "residual"}
-        return json_pieces(rest, {"residuals": (row, vars(self))})
+        return self._json_pieces(columns for columns, _ in self._blocks())
 
     def to_json(self) -> str:
         return "".join(self.json_pieces())
+
+    def pieces(self):
+        """(``json_pieces()``, the residual CSV's pieces): one row per record
+        of period, country, domain levels joined by "|", m, mu_hat and
+        residual, under a header, as ``dataio.csv_lines`` writes it. Both
+        take their blocks from one pass over the records (``_unzip``), so
+        written a piece of each in turn (``cli._write``) they hold a few
+        blocks at a time."""
+        for_json, for_csv = _unzip(self._blocks())
+        return self._json_pieces(for_json), csv_lines(_CSV_HEADER, chain.from_iterable(for_csv))
+
+
+def _unzip(pairs):
+    """Iterators over the first and over the second items of ``pairs``, which
+    is read once: an iterator takes the next pair when it has no item
+    waiting, and the pair's other item waits for the other iterator, which
+    drops it when taken (``itertools.tee`` drops items in runs of 57)."""
+    pairs = iter(pairs)
+    waiting = (deque(), deque())
+
+    def items(i):
+        while True:
+            if not waiting[i]:
+                pair = next(pairs, None)
+                if pair is None:
+                    return
+                waiting[0].append(pair[0])
+                waiting[1].append(pair[1])
+            yield waiting[i].popleft()
+
+    return items(0), items(1)
 
 
 def diagnostics_report(fit: FittedModel, k: int = 5) -> DiagnosticsReport:
     """Residuals, top-k worst fits by |m - mu_hat|, and the linearized check.
 
-    mu_hat and phi are checked once per report; each residual is then the
-    scalar formula that ``anscombe_residual`` evaluates, so both give the
-    same bits. ``to_json`` writes ``report.to_dict()`` byte for byte as
-    ``json`` writes it indented.
+    mu_hat and phi are checked once per report; the residuals are then one
+    array evaluation of the formula that ``anscombe_residual`` evaluates on
+    one record, so both give the same bits. ``to_json`` writes
+    ``report.to_dict()`` byte for byte as ``json`` writes it indented.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     md = fit.data
     mu = md.mu_values(fit.params)
     kappa = _kappa(mu, fit.params.phi)
-    m = fit.dataset.counts[0].tolist()
-    mu_hat = mu.tolist()
     report = DiagnosticsReport(
         *(col.tolist() for col in fit.dataset.labels),
-        m=m,
-        mu_hat=mu_hat,
-        residual=[_anscombe(mi, mh, kappa) for mi, mh in zip(m, mu_hat)],
+        m=fit.dataset.counts[0].tolist(),
+        mu_hat=mu.tolist(),
+        residual=_anscombe(md.m, mu, kappa).tolist(),
         worst_fit=[],
         linearized=linearized_check(fit.dataset),
     )

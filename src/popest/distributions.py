@@ -251,11 +251,14 @@ def _log1p_minus(x, cut=_SERIES_CUT, log1p_x=None):
 
 
 def _log_factorial(v):
-    """log(v!) of an array of nonnegative integer counts."""
+    """log(v!) of an array of nonnegative integer counts; inf at an infinite
+    count, which the fits reject by name."""
     v = np.asarray(v, dtype=float)
     out = _LOG_FACTORIAL[np.minimum(v, _CAP).astype(np.intp)]
     big = v > _CAP
     if big.any():
+        out[v == np.inf] = np.inf  # Stirling's form would take inf - inf
+        big &= v < np.inf
         w = v[big]
         out[big] = (w + 0.5) * np.log(w) - w + _HALF_LOG_2PI + _stirling(w)
     return out
@@ -726,11 +729,19 @@ def term_derivatives(
     """The (mu, phi) derivatives of ``term_loglik``, for the same kinds and
     with the same argument checks; the term itself is not evaluated.
     ``counts`` holds the distinct counts of m (built here when not given).
+    A derivative that is not finite (at a mu so small that m/mu^2
+    overflows, say) raises ``NumericalError``, without a warning.
 
     ``nb2-mixture`` is the nb2 likelihood, so it takes the nb2 derivatives.
     """
     fam, mu, m = _checked(kind, mu, phi, m, counts)
-    return term_derivatives_kernel(fam, kind, mu, phi, m, counts)
+    with np.errstate(all="ignore"):  # a derivative that overflows is refused below
+        out = term_derivatives_kernel(fam, kind, mu, phi, m, counts)
+    derivs = {name: d for name, d in vars(out).items() if d is not None}
+    if not np.isfinite(np.concatenate(list(derivs.values()), axis=None)).all():
+        name = next(name for name, d in derivs.items() if not np.isfinite(d).all())
+        raise NumericalError(f"non-finite {name} for {kind}")
+    return out
 
 
 def term_derivatives_kernel(

@@ -360,10 +360,15 @@ def fit_kind(
     options = options or FitOptions()
     fam = kind_family(kind)
     lo, values = fam.support_min, md.distinct.values
-    if values.min(initial=lo) < lo or (np.floor(values) != values).any():
-        i = int(np.argmax((md.m < lo) | (np.floor(md.m) != md.m)))
-        why = f"below the support minimum {lo}" if md.m[i] < lo else "not an integer count"
-        raise SupportError(f"record {md.record(i)} has m={md.m[i]:g}, {why} of {kind}")
+    # np.floor(inf) == inf, so only the test against inf stops an infinite count
+    if (values.min(initial=lo) < lo or values.max(initial=lo) == np.inf
+            or (np.floor(values) != values).any()):
+        i = int(np.argmax((md.m < lo) | (np.floor(md.m) != md.m) | (md.m == np.inf)))
+        m = md.m[i]
+        why = ("not a finite count" if m == np.inf
+               else f"below the support minimum {lo} of {kind}" if m < lo
+               else f"not an integer count of {kind}")
+        raise SupportError(f"record {md.record(i)} has m={m:g}, {why}")
     has_phi = fam.has_dispersion
     n_alpha = md.X.shape[1]
     n_beta = md.Z.shape[1]

@@ -226,9 +226,11 @@ def test_boot_quantile_level_outside_the_unit_interval_is_usage_error(data_csv, 
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,bogus:x"], "bogus"),
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "foo"], "foo"),
         (["fit", "DATA", "--dist", "ztnb2", "--alpha-cov", "intercept,intercept"], "duplicate"),
+        (["diagnose", "DATA", "--dist", "ztnb2", "--output", "missing/r.txt", "--csv", "missing/./r.txt"],
+         "--csv and --output name the same file"),
     ],
     ids=["simulate-variant", "simulate-repeated-variant", "simulate-seed", "boot-seed", "fit-unknown-variable",
-         "fit-malformed-term", "fit-duplicate-term"],
+         "fit-malformed-term", "fit-duplicate-term", "diagnose-csv-is-output"],
 )
 def test_bad_option_values_are_usage_errors(data_csv, argv, message, capsys):
     argv = [a for arg in argv for a in (["--data", data_csv, "--schema", SCHEMA] if arg == "DATA" else [arg])]

@@ -68,6 +68,9 @@ def test_anscombe_parameter_errors():
         anscombe_residual(1, float("nan"), 1.0)
     with pytest.raises(ValueError):
         anscombe_residual(1, 1.0, float("nan"))
+    for m in (-8, float("nan"), float("inf")):  # no NaN, and no RuntimeWarning, for a bad count
+        with pytest.raises(ValueError, match="m must be"):
+            anscombe_residual(m, 1.0, 1.0)
 
 
 def eq10_dataset(coef_logN=-0.4109, coef_logratio=0.5694, count=12):

@@ -375,6 +375,15 @@ def test_term_derivatives_raise_as_term_loglik(kind, mu, phi, m, error):
         term_derivatives(kind, mu, phi, m)
 
 
+@pytest.mark.parametrize("kind, phi", [("po", None), ("ztpo", None), ("nb2", 2.0), ("ztnb2", 2.0)])
+def test_derivative_that_overflows_at_tiny_mu_is_a_numerical_error(kind, phi):
+    # -m/mu^2 overflows below mu ~ sqrt(m) 1e-154, where the term is finite;
+    # RuntimeWarnings are errors under the test settings.
+    assert np.isfinite(term_loglik(kind, 1e-160, phi, 2.0)).all()
+    with pytest.raises(NumericalError, match="non-finite d_mumu"):
+        term_derivatives(kind, 1e-160, phi, 2.0)
+
+
 def _distinct_count_sample(kind):
     rng = np.random.default_rng(23)
     size = 500

@@ -318,6 +318,20 @@ def test_count_below_support_names_the_position_when_index_is_empty():
         fit_kind(md, "ztpo", start)
 
 
+def test_infinite_count_in_model_data_names_the_record():
+    # Built directly, a ModelData skips prepare's finiteness check; its
+    # distinct counts take log(inf!) without a warning, and fit_kind names
+    # the record as prepare would.
+    md = ModelData(
+        m=np.array([2.0, np.inf, 3.0]), log_N=np.log([100.0, 300.0, 50.0]),
+        log_ratio=np.log([0.1, 0.2, 0.1]), X=np.ones((3, 1)), Z=np.ones((3, 1)),
+        index=[],
+    )
+    start = ParamVector(np.array([0.5]), np.array([0.5]), 2.0)
+    with pytest.raises(SupportError, match=re.escape("record 1 has m=inf, not a finite count")):
+        fit_kind(md, "ztnb2", start)
+
+
 def srec(country, N, n=None, domain=("F",)):
     n = n or max(N // 10, 1)
     return StratumRecord(

@@ -1,10 +1,17 @@
 """Panel-scale ingestion and report writing: the JSON writer's pieces equal
-``json.dumps`` at the edges of a block of rows, and writing a report or
-parsing a 40 000-stratum panel takes memory that does not grow with the
-rows; the parse's error path names the same row at that scale."""
+``json.dumps`` at the edges of a block of rows, ``diagnose`` writes its
+report and residual CSV in one pass as ``json.dumps`` and ``csv.writer``
+would, and writing a report or parsing a 40 000-stratum panel takes memory
+that does not grow with the rows and runs no garbage collection; the
+parse's error path names the same row at that scale."""
 
+import csv
+import gc
+import inspect
+import io
 import json
 import re
+import sys
 import tracemalloc
 from itertools import chain
 from pathlib import Path
@@ -12,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popest import cli, dataio
+from popest import cli, dataio, diagnostics
 from popest.dataio import DuplicateKeyError, ParseError, parse_csv
 from popest.diagnostics import DiagnosticsReport, LinearizedCheck
 
@@ -59,13 +66,18 @@ def test_report_pieces_equal_json_dumps_at_block_edges(blocks, tmp_path, capsys)
     assert path.read_text(encoding="utf-8") == capsys.readouterr().out == expected + "\n"
 
 
-def write_peak(report: DiagnosticsReport, path) -> int:
+def write_peak(report: DiagnosticsReport, path, csv_path=None) -> int:
     """Traced bytes allocated at the peak of writing ``report`` to ``path``
-    as ``diagnose`` writes it, above what was allocated before."""
+    (and its residual CSV to ``csv_path``) as ``diagnose`` writes them, above
+    what was allocated before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cli._write(chain(report.json_pieces(), ["\n"]), str(path))
+        if csv_path is None:
+            cli._write(chain(report.json_pieces(), ["\n"]), str(path))
+        else:
+            json_text, csv_text = report.pieces()
+            cli._write(chain(json_text, ["\n"]), str(path), (csv_text, str(csv_path)))
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -75,6 +87,112 @@ def test_writing_a_report_takes_memory_that_does_not_grow_with_rows(tmp_path):
     small, large = synthetic_report(10_000), synthetic_report(40_000)
     peaks = [write_peak(r, tmp_path / "report.json") for r in (small, large)]
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_writing_a_report_and_its_csv_takes_memory_that_does_not_grow_with_rows(tmp_path):
+    small, large = synthetic_report(10_000), synthetic_report(40_000)
+    paths = tmp_path / "report.json", tmp_path / "resid.csv"
+    peaks = [write_peak(r, *paths) for r in (small, large)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+ODD_LABELS = ["a,b", 'say "hi"', "two\nlines", "Łódź", "C0"]
+
+
+def odd_report(n: int) -> DiagnosticsReport:
+    """``synthetic_report(n)`` with labels that csv.writer quotes or json
+    escapes, and NaN and infinite residuals, which the two spell apart."""
+    report = synthetic_report(n)
+    k = len(ODD_LABELS)
+    report.country = [ODD_LABELS[i % k] for i in range(n)]
+    report.domain = [(ODD_LABELS[(i + 1) % k], ODD_LABELS[(i + 2) % k]) for i in range(n)]
+    report.residual[:3] = [float("nan"), float("inf"), -float("inf")][:n]
+    return report
+
+
+def csv_writer_text(report: DiagnosticsReport) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["period", "country", "domain", "m", "mu_hat", "residual"])
+    writer.writerows(zip(report.period, report.country, map("|".join, report.domain),
+                         report.m, report.mu_hat, report.residual))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, dataio._BLOCK - 1, dataio._BLOCK, dataio._BLOCK + 1],
+                         ids=["0", "1", "B-1", "B", "B+1"])
+def test_diagnose_writes_the_report_and_csv_in_one_pass_as_json_and_csv_writer_do(
+        n, tmp_path, capsys, monkeypatch):
+    report = odd_report(n)
+    monkeypatch.setattr(cli, "_load_and_fit", lambda args: None)
+    monkeypatch.setattr(diagnostics, "diagnostics_report", lambda fit, k: report)
+    resid = tmp_path / "resid.csv"
+    argv = ["diagnose", "--data", "unread.csv", "--schema", "unread", "--dist", "ztnb2",
+            "--csv", str(resid)]
+    expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert cli.main(argv) == 0  # the report to stdout, the CSV to a file
+    assert capsys.readouterr().out == expected
+    assert resid.read_bytes().decode("utf-8") == csv_writer_text(report)
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8") == expected
+    assert resid.read_bytes().decode("utf-8") == csv_writer_text(report)
+
+
+def test_an_unwritable_csv_path_is_exit_two_before_any_report_byte(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_and_fit", lambda args: None)
+    monkeypatch.setattr(diagnostics, "diagnostics_report", lambda fit, k: synthetic_report(5))
+    argv = ["diagnose", "--data", "unread.csv", "--schema", "unread", "--dist", "ztnb2",
+            "--csv", str(tmp_path / "missing" / "resid.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "No such file" in captured.err
+
+
+def test_parse_csv_pauses_the_collector_and_restores_its_state(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("period,country,sex,age,m,n,N\nP,C,F,A,1,2,3\n", encoding="utf-8")
+    bad.write_text("period,country,sex,age,m,n,N\nP,C,F,A,x,2,3\n", encoding="utf-8")
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert len(parse_csv(str(good), SCHEMA)) == 1
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                parse_csv(str(bad), SCHEMA)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+def test_no_collection_runs_while_parsing_a_panel_or_writing_its_reports(panel_text, tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_text, encoding="utf-8")
+    bodies = {inspect.unwrap(f).__code__: name
+              for name, f in (("parse_csv", dataio.parse_csv), ("_write", cli._write))}
+    collected = []
+
+    def on_collection(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in bodies:
+            frame = frame.f_back
+        if frame is not None:
+            collected.append((bodies[frame.f_code], info["generation"]))
+
+    argv = ["diagnose", "--data", str(path), "--dist", "ztnb2",
+            "--schema", "period=period,country=country,domain=sex+age,m=m,n=n,N=N",
+            "--csv", str(tmp_path / "resid.csv"), "--output", str(tmp_path / "report.json"),
+            "--audit", str(tmp_path / "audit.json")]
+    gc.callbacks.append(on_collection)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert collected == []
 
 
 def test_parsing_a_panel_takes_bounded_memory(panel_text, tmp_path):
