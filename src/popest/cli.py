@@ -216,6 +216,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     report = simulation.run_simulation(design)
     _write([report.to_csv()], args.output)
+    for variant, lost in report.failures.items():
+        if uncertainty.too_many_failures(lost, args.B):
+            print(f"warning: {variant}: {lost} of {args.B} replicates failed, more than 20%",
+                  file=sys.stderr)
     return 0
 
 

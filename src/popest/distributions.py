@@ -252,12 +252,12 @@ def _log1p_minus(x, cut=_SERIES_CUT, log1p_x=None):
 
 def _log_factorial(v):
     """log(v!) of an array of nonnegative integer counts; inf at an infinite
-    count, which the fits reject by name."""
+    count and NaN at a NaN one, which the fits reject by name."""
     v = np.asarray(v, dtype=float)
-    out = _LOG_FACTORIAL[np.minimum(v, _CAP).astype(np.intp)]
-    big = v > _CAP
+    out = _LOG_FACTORIAL[np.fmin(v, _CAP).astype(np.intp)]  # fmin takes NaN to _CAP
+    big = ~(v <= _CAP)
     if big.any():
-        out[v == np.inf] = np.inf  # Stirling's form would take inf - inf
+        out[big] = v[big]  # inf or NaN as given: Stirling's form would take inf - inf
         big &= v < np.inf
         w = v[big]
         out[big] = (w + 0.5) * np.log(w) - w + _HALF_LOG_2PI + _stirling(w)

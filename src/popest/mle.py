@@ -244,11 +244,14 @@ class FitOptions:
 
 
 # The statuses _newton can end a row with, indexed by the codes it tracks.
-_STATUSES = ("max-iterations", "non-finite", "converged", "indefinite", "stalled")
-_MAX_ITER, _NON_FINITE, _CONVERGED, _INDEFINITE, _STALLED = range(len(_STATUSES))
+_STATUSES = ("max-iterations", "non-finite", "converged", "stalled")
+_MAX_ITER, _NON_FINITE, _CONVERGED, _STALLED = range(len(_STATUSES))
+# The modified-Newton step's floor on the eigenvalue magnitudes of -H, as a
+# multiple of the largest magnitude (or of 1, if that is larger).
+_EIGEN_FLOOR = 1e-8
 
 
-def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, ascend: bool):
+def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool):
     """Newton-Raphson ascent of a stack of log-likelihoods in lockstep, one
     per row of ``theta`` (internal scale: log(phi) last), from their values
     ``ll``; both are updated in place, and the status of each row returned.
@@ -260,9 +263,11 @@ def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, as
     non-finite where a probe is invalid. One pass per evaluation of (g, H)
     over the rows still iterating. The stop rule is tested before any probe,
     so the pass after the last allowed step still tests the returned point.
-    A row whose Hessian is not negative definite takes a scaled
-    gradient-ascent step when ``ascend`` and otherwise ends "indefinite"; a
-    row with a non-finite score or Hessian ends "non-finite".
+    Where -H is not positive definite, a row takes a modified-Newton step
+    (Nocedal & Wright, *Numerical Optimization*, section 3.4): -H with each
+    eigenvalue replaced by its magnitude, floored at ``_EIGEN_FLOOR``, and
+    its decrement is not tested. A row with a non-finite score or Hessian
+    ends "non-finite".
 
     Statuses are written, and the stack compressed, only when a row leaves
     the iteration, so a pass in which every row goes on, or every row stops
@@ -284,21 +289,15 @@ def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, as
             if not active.size:
                 break
         neg_H = -H
-        definite = _definite_rows(neg_H)
-        if not ascend and not definite.all():
-            status[active[~definite]] = _INDEFINITE
-            g, neg_H, active = g[definite], neg_H[definite], active[definite]
-            definite = definite[definite]
-        if definite.all():
-            step = np.linalg.solve(neg_H, g[:, :, None])[:, :, 0]
-            decrement = np.einsum("ij,ij->i", g, step)
-        else:
-            # Not negative definite here: scaled gradient ascent.
-            scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
-            step = g / np.maximum(scale, 1.0)[:, None]
-            decrement = np.full(len(g), np.inf)
-            step[definite] = np.linalg.solve(neg_H[definite], g[definite, :, None])[:, :, 0]
-            decrement[definite] = np.einsum("ij,ij->i", g[definite], step[definite])
+        eigenvalues, vectors = np.linalg.eigh(neg_H)
+        definite = eigenvalues[:, 0] > 0
+        if not definite.all():
+            size = np.abs(eigenvalues[~definite])
+            size = np.maximum(size, _EIGEN_FLOOR * np.maximum(size.max(axis=1), 1.0)[:, None])
+            V = vectors[~definite]
+            neg_H[~definite] = (V * size[:, None, :]) @ V.transpose(0, 2, 1)
+        step = np.linalg.solve(neg_H, g[:, :, None])[:, :, 0]
+        decrement = np.where(definite, np.einsum("ij,ij->i", g, step), np.inf)
         done = decrement < _DECREMENT_TOL
         if done.any():
             status[active[done]] = _CONVERGED
@@ -328,20 +327,6 @@ def _newton(theta, ll, grad_hess, loglik, options: FitOptions, has_phi: bool, as
     return [_STATUSES[code] for code in status.tolist()]
 
 
-def _definite_rows(A: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack ``A`` are positive definite. A stacked
-    Cholesky raises for the whole stack, so a failing stack is split in
-    halves until each failure is a single matrix."""
-    try:
-        np.linalg.cholesky(A)
-        return np.ones(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.zeros(1, dtype=bool)
-    half = len(A) // 2
-    return np.concatenate([_definite_rows(A[:half]), _definite_rows(A[half:])])
-
-
 # A probe whose mu = exp(W gamma) overflows or underflows is rejected through
 # its non-finite log-likelihood, so its floating-point warnings are noise.
 @np.errstate(all="ignore")
@@ -355,17 +340,19 @@ def fit_kind(
 
     Returns (params, loglik, covariance on the natural scale or None,
     convergence info). Dispersion is iterated on the log scale. Where the
-    Hessian is not negative definite the step is scaled gradient ascent.
+    Hessian is not negative definite the step is modified Newton
+    (``_newton``).
     """
     options = options or FitOptions()
     fam = kind_family(kind)
     lo, values = fam.support_min, md.distinct.values
     # np.floor(inf) == inf, so only the test against inf stops an infinite count
+    # (a NaN count fails the floor test)
     if (values.min(initial=lo) < lo or values.max(initial=lo) == np.inf
             or (np.floor(values) != values).any()):
         i = int(np.argmax((md.m < lo) | (np.floor(md.m) != md.m) | (md.m == np.inf)))
         m = md.m[i]
-        why = ("not a finite count" if m == np.inf
+        why = ("not a finite count" if not np.isfinite(m)
                else f"below the support minimum {lo} of {kind}" if m < lo
                else f"not an integer count of {kind}")
         raise SupportError(f"record {md.record(i)} has m={m:g}, {why}")
@@ -397,7 +384,7 @@ def fit_kind(
         raise ValueError("log-likelihood is non-finite at the starting values")
     if options.trace is not None:
         options.trace.append(float(ll[0]))
-    (status,) = _newton(theta, ll, grad_hess, objective, options, has_phi, True)
+    (status,) = _newton(theta, ll, grad_hess, objective, options, has_phi)
     if status == "non-finite":
         raise NumericalError("non-finite score or Hessian entries")
 
@@ -457,10 +444,9 @@ def fit_many(
     Returns, per row, the parameters where it met the stop rule, or None. A
     row that stalls, reaches ``max_iter``, has a count below the support, a
     non-finite log-likelihood at the start, a mu that is not positive and
-    finite, a score or Hessian entry that is not finite, or a Hessian that
-    is not negative definite (where ``fit_kind`` falls back to gradient
-    ascent) gets None. Nothing here labels a fit or raises for one; that is
-    ``refit_many``'s certify call.
+    finite, or a score or Hessian entry that is not finite gets None.
+    Nothing here labels a fit or raises for one; that is ``refit_many``'s
+    certify call.
     """
     fam = kind_family(kind)
     has_phi = fam.has_dispersion
@@ -495,7 +481,7 @@ def fit_many(
     supported = M >= fam.support_min
     rows = np.flatnonzero(np.all(supported if mask is None else supported | ~mask, axis=1))
     ll[rows] = loglik(rows, theta[rows])
-    status = _newton(theta, ll, grad_hess, loglik, FitOptions(), has_phi, False)
+    status = _newton(theta, ll, grad_hess, loglik, FitOptions(), has_phi)
     n_alpha, n_beta = md.X.shape[1], md.Z.shape[1]
     return [
         _params_from_internal(th, n_alpha, n_beta, has_phi) if s == "converged" else None

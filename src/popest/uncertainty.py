@@ -24,6 +24,12 @@ class IntervalError(ValueError):
     """Missing covariance or too few samples to form an interval."""
 
 
+def too_many_failures(failures: int, B: int) -> bool:
+    """Whether more than 20% of B refits failed: a bootstrap's ``unreliable``
+    flag, and the rule behind ``popest simulate``'s warnings."""
+    return failures > 0.2 * B
+
+
 def _check_level(level: float, whole_sample: bool = False) -> None:
     """A level lies strictly between 0 and 1; an interval over samples also
     takes level 1, the whole sample."""
@@ -220,6 +226,6 @@ def parametric_bootstrap(
         seed=seed,
         failures=failures,
         phi_redraw_count=redraws,
-        unreliable=failures > 0.2 * B,
+        unreliable=too_many_failures(failures, B),
         level=level,
     )

@@ -428,6 +428,20 @@ def test_simulate_too_few_strata_is_exit_two(strata, capsys):
     assert captured.out == ""
 
 
+def test_simulate_warns_per_variant_that_loses_over_a_fifth_of_its_replicates(capsys):
+    # On 3 strata a 3-parameter fit rarely converges: 19 of 20 replicates
+    # fail in every variant. The table and the exit code stay as they are.
+    assert main(["simulate", "--phi", "2.5", "-B", "20", "--strata", "3", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",19")
+    assert captured.err.splitlines() == [
+        f"warning: {variant}: 19 of 20 replicates failed, more than 20%"
+        for variant in ("zhang-approx", "exact-gamma", "nb2-closed", "zt-nb2")
+    ]
+    assert main(["simulate", "--phi", "2.5", "-B", "20", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_byte_identical_outputs(tmp_path):
     outs = []
     for name in ("s1.csv", "s2.csv"):

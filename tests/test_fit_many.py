@@ -341,20 +341,23 @@ def test_presolved_rows_are_certified_in_one_evaluation():
         assert ll == pytest.approx(ll_serial, rel=1e-12)
 
 
-def test_rows_fit_many_cannot_finish_take_the_serial_path():
+def test_fit_many_drops_an_overflowing_row_and_solves_an_indefinite_start():
     md, M, starts = _rows_and_starts()
     # Row 0 is left as it is. Row 1 starts where mu reaches 1e200: its
     # log-likelihood is finite, but mu**2 overflows in the Hessian. Row 2
-    # starts where the nb2 Hessian is not negative definite.
+    # starts where the nb2 Hessian is not negative definite, and both paths
+    # take the same modified-Newton steps from there.
     starts[1] = (40.0, 0.0, 2.5)
     starts[2] = (0.3, 0.8, 1.0)
     presolved = fit_many(md, M, "nb2", starts)
-    assert [p is not None for p in presolved] == [True, False, False]
+    assert [p is not None for p in presolved] == [True, False, True]
     with pytest.raises(NumericalError):
         fit_kind(md.with_counts(M[1]), "nb2", _start(starts[1]), FitOptions())
     md_b = md.with_counts(M[2])
     assert np.linalg.eigvalsh(-_internal_hessian(md_b, starts[2])).min() < 0
-    assert fit_kind(md_b, "nb2", _start(starts[2]), FitOptions())[3].status == "converged"
+    serial, _, _, conv = fit_kind(md_b, "nb2", _start(starts[2]), FitOptions())
+    assert conv.status == "converged"
+    np.testing.assert_allclose(presolved[2].stacked(), serial.stacked(), rtol=0, atol=1e-10)
     # The Poisson row at the overflowing start fails the same way.
     assert fit_many(md, M[1:2], "po", starts[1, :2]) == [None]
     with pytest.raises(NumericalError):
@@ -366,6 +369,28 @@ def _internal_hessian(md_b, start):
     iterates on."""
     g, H = score_and_hessian_kind(md_b, "nb2", _start(start))
     return _log_phi_scale(g[None], H[None], np.array([[start[2]]]))[1][0]
+
+
+@pytest.mark.parametrize("n", [200, 9])
+def test_fit_many_converges_a_row_exactly_where_fit_kind_does_from_an_indefinite_start(
+        monkeypatch, n):
+    # nb2 starts from a grid where the Hessian is not negative definite, each
+    # on its own draw of counts: lockstep and one-row fits take the same
+    # steps, so the same rows converge, all of them in 200 iterations and
+    # those that need at most 10 evaluations in 9.
+    options = max_iter(monkeypatch, n)
+    md = prepare(synth_dataset(11, 40), DesignSpec())
+    grid = [(a, b, phi) for a in (0.3, 0.5, 0.9) for b in (0.0, 0.8) for phi in (np.e**3, np.e**10)]
+    M = np.array([synth_dataset(s, 40).columns[0] for s in range(21, 21 + len(grid))], float)
+    indefinite = [np.linalg.eigvalsh(-_internal_hessian(md.with_counts(m), s)).min() < 0
+                  for m, s in zip(M, grid)]
+    M, starts = M[indefinite], np.array(grid)[indefinite]
+    assert len(M) >= 4
+    presolved = fit_many(md, M, "nb2", starts)
+    converged = [fit_kind(md.with_counts(m), "nb2", _start(s), options)[3].converged
+                 for m, s in zip(M, starts)]
+    assert [p is not None for p in presolved] == converged
+    assert any(converged) and (all(converged) == (n == 200))
 
 
 def max_iter(monkeypatch, n):

@@ -332,6 +332,32 @@ def test_infinite_count_in_model_data_names_the_record():
         fit_kind(md, "ztnb2", start)
 
 
+def test_nan_count_in_model_data_names_the_record():
+    # As for an infinite count: the distinct counts take a NaN count without
+    # a warning (log(nan!) is NaN), and fit_kind names its record.
+    md = ModelData(
+        m=np.array([2.0, np.nan, 3.0]), log_N=np.log([100.0, 300.0, 50.0]),
+        log_ratio=np.log([0.1, 0.2, 0.1]), X=np.ones((3, 1)), Z=np.ones((3, 1)),
+        index=[],
+    )
+    start = ParamVector(np.array([0.5]), np.array([0.5]), 2.0)
+    with pytest.raises(SupportError, match=re.escape("record 1 has m=nan, not a finite count")):
+        fit_kind(md, "ztnb2", start)
+
+
+@pytest.mark.parametrize("start", [(0.3, 0.0, np.e**3), (0.3, 0.8, np.e**10)])
+def test_nb2_converges_from_starts_with_an_indefinite_hessian(start):
+    # From these starts -H is not positive definite; modified-Newton steps
+    # reach the maximum that (0.7, 0.8, 2.5) reaches in 4 evaluations.
+    md = prepare(synth_dataset(11, 40), DesignSpec())
+    best = fit_kind(md, "nb2", ParamVector(np.array([0.7]), np.array([0.8]), 2.5))[1]
+    assert best == pytest.approx(-243.286826, abs=1e-6)
+    a, b, phi = start
+    _, ll, _, conv = fit_kind(md, "nb2", ParamVector(np.array([a]), np.array([b]), phi))
+    assert conv.converged and conv.iterations <= 20
+    assert ll == pytest.approx(best, abs=1e-6)
+
+
 def srec(country, N, n=None, domain=("F",)):
     n = n or max(N // 10, 1)
     return StratumRecord(
@@ -431,7 +457,7 @@ class _Stack:
         return g, H
 
 
-def _reference_row(stack, r, th, value, options, ascend):
+def _reference_row(stack, r, th, value, options, has_phi):
     """The Newton iteration of ``_newton`` on row ``r`` alone, from ``th``
     and its log-likelihood ``value``: (status, theta, ll)."""
     if not np.isfinite(value):
@@ -444,14 +470,14 @@ def _reference_row(stack, r, th, value, options, ascend):
             return "non-finite", th, value
         if np.abs(g).max() < options.grad_tol:
             return "converged", th, value
-        try:
-            np.linalg.cholesky(-H)
+        eigenvalues, V = np.linalg.eigh(-H)
+        if eigenvalues[0] > 0:
             step = np.linalg.solve(-H, g)
             decrement = g @ step
-        except np.linalg.LinAlgError:
-            if not ascend:
-                return "indefinite", th, value
-            step = g / max(np.abs(np.diag(H)).max(), 1.0)
+        else:  # modified Newton: -H with its eigenvalues' floored magnitudes
+            size = np.abs(eigenvalues)
+            size = np.maximum(size, mle._EIGEN_FLOOR * max(size.max(), 1.0))
+            step = np.linalg.solve((V * size) @ V.T, g)
             decrement = np.inf
         if decrement < mle._DECREMENT_TOL:
             return "converged", th, value
@@ -459,7 +485,7 @@ def _reference_row(stack, r, th, value, options, ascend):
             break
         t = 1.0
         for _ in range(mle._MAX_HALVINGS + 1):
-            cand = mle._clip_theta(th + t * step, True)
+            cand = mle._clip_theta(th + t * step, has_phi)
             new = stack.loglik(rows, cand[None])[0]
             if np.isfinite(new) and new > value:
                 th, value = cand, new
@@ -470,12 +496,12 @@ def _reference_row(stack, r, th, value, options, ascend):
     return "max-iterations", th, value
 
 
-@pytest.mark.parametrize("ascend", [True, False])
+@pytest.mark.parametrize("has_phi", [True, False])
 @pytest.mark.parametrize("max_iter", [200, 3])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lockstep_newton_equals_a_per_row_loop(seed, max_iter, ascend):
-    # Rows that converge at the start, take steps, hit the log(phi) clip,
-    # stall, go non-finite at the start or after a step, start non-finite,
+def test_lockstep_newton_equals_a_per_row_loop(seed, max_iter, has_phi):
+    # Rows that converge at the start, take steps, run into the log(phi)
+    # clip (when the last coordinate is log(phi)), stall, go non-finite at the start or after a step, start non-finite,
     # or start where the Hessian is indefinite, all in one stack.
     rng = np.random.default_rng(seed)
     R = 14
@@ -494,11 +520,15 @@ def test_lockstep_newton_equals_a_per_row_loop(seed, max_iter, ascend):
     ll = stack.f(np.arange(R), theta)
     ll[7] = -np.inf  # not iterated
     options = FitOptions(max_iter=max_iter)
-    want = [_reference_row(stack, r, theta[r], ll[r], options, ascend) for r in range(R)]
-    got = mle._newton(theta, ll, stack.grad_hess, stack.loglik, options, True, ascend)
+    assert np.linalg.eigvalsh(-stack.grad_hess(np.array([2]), theta[2:3])[1])[0, 0] < 0
+    want = [_reference_row(stack, r, theta[r], ll[r], options, has_phi) for r in range(R)]
+    got = mle._newton(theta, ll, stack.grad_hess, stack.loglik, options, has_phi)
     assert got == [status for status, _, _ in want]
     assert np.array_equal(theta, [th for _, th, _ in want])
     assert np.array_equal(ll, [value for _, _, value in want])
     assert {"converged", "stalled", "non-finite"} <= set(got)
-    assert ("indefinite" in got) == (not ascend)
     assert ("max-iterations" in got) == (max_iter == 3)
+    if has_phi:
+        assert theta[1, 2] == mle._LOG_PHI_MAX
+    else:
+        assert theta[1, 2] > mle._LOG_PHI_MAX
