@@ -167,12 +167,14 @@ class Dataset:
     @cached_property
     def codes(self) -> dict:
         """{variable: (read-only code per record, {level: code})} for
-        "country", each domain variable by name and the whole domain tuple
-        (None), with levels in first-appearance order."""
-        country, domain = (col.tolist() for col in self.labels[1:])
+        "country", each domain variable by name, the whole domain tuple
+        (None) and "period" unless a domain variable has that name, with
+        levels in first-appearance order."""
+        period, country, domain = (col.tolist() for col in self.labels)
         values = {"country": country, None: domain}
         for j, name in enumerate(self.domain_names):
             values.setdefault(name, list(map(itemgetter(j), domain)))
+        values.setdefault("period", period)
         out = {}
         for variable, column in values.items():
             levels = {v: i for i, v in enumerate(dict.fromkeys(column))}

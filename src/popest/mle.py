@@ -41,7 +41,7 @@ _MAX_HALVINGS = 30
 # (the covariance is (-H)^-1). Below it the fit is converged and takes no
 # further step, which could raise the log-likelihood by only about half of it.
 _DECREMENT_TOL = 1e-8
-# fit_many takes its rows in blocks of at most this many records, so the
+# refit_many takes replicates in blocks of at most this many records, so the
 # kernel's temporaries stay small (32 KiB each) at no measurable cost in time.
 _BLOCK_ELEMENTS = 4096
 # The pre-solve saves per-call overhead, and costs more per record than
@@ -407,15 +407,6 @@ def fit_kind(
     return params, float(ll[0]), covariance, Convergence(it, grad_norm, status)
 
 
-def presolve_rows(n_records: int) -> int:
-    """How many refits of ``n_records`` records each ``fit_many`` takes at a
-    time: as many as fit in ``_BLOCK_ELEMENTS`` records, so that memory does
-    not grow with the number of refits. 1 when fewer than
-    ``_MIN_BLOCK_ROWS`` fit, where ``refit_many`` refits serially."""
-    rows = _BLOCK_ELEMENTS // max(n_records, 1)
-    return rows if rows >= _MIN_BLOCK_ROWS else 1
-
-
 # Rows whose mu overflows or underflows, or whose truncated support has no
 # mass, give non-finite terms, which take them out of the lockstep.
 @np.errstate(all="ignore")
@@ -489,44 +480,55 @@ def fit_many(
     ]
 
 
-def refit_many(md: ModelData, M, kinds, start, mask=None) -> list[list[ParamVector | None]]:
-    """The replicate refits of a block: per kind of ``kinds``, each row's
-    parameters, or None where its refit raises one of ``FIT_ERRORS`` or does
-    not converge. ``M``, ``start`` and ``mask`` are as for ``fit_many``.
+def refit_many(md: ModelData, B: int, draw, kinds):
+    """The replicate driver of the bootstrap and the simulation: yields, for
+    each replicate b < B that ``draw`` fits, in order, its extra and, per kind
+    of ``kinds``, its parameters, or None where the refit raises one of
+    ``FIT_ERRORS`` or does not converge. ``draw(b)`` returns None for a
+    replicate not fitted, else (counts on the strata of ``md``, whose own are
+    not read; start; mask of the kept strata, or None in every replicate for
+    all strata; extra). A dropped stratum must hold a count valid for every
+    kind.
 
-    Each refit is one ``fit_kind`` call with ``FitOptions()``, which decides
-    its status. Unless ``presolve_rows`` is 1, ``fit_many`` first solves the
-    block for each kind: a row it converged is certified from there,
-    typically in one score/Hessian evaluation, and any other row is refitted
-    from its ``start``. The block's distinct counts are sorted once; an
-    unmasked row takes its share of them, and a masked row is refitted on
-    its kept strata, one ``ModelData`` for all kinds.
+    Replicates are drawn in blocks of as many as fit in ``_BLOCK_ELEMENTS``
+    records, so memory does not grow with B, or one at a time where fewer
+    than ``_MIN_BLOCK_ROWS`` fit. Blocks of more are first solved by
+    ``fit_many`` for each kind. Each refit is one ``fit_kind`` call with
+    ``FitOptions()``, which decides its status, from the pre-solved
+    parameters, typically one score/Hessian evaluation, or else its start.
+    A block's distinct counts are sorted once; an unmasked row takes its
+    share of them, and a masked row is refitted on its kept strata.
     """
-    M = np.asarray(M, dtype=float)
-    start = np.broadcast_to(np.asarray(start, dtype=float), (len(M), np.shape(start)[-1]))
-    counts = DistinctCounts.of(M)
-    serial = presolve_rows(md.n_obs) == 1
-    presolved = [[None] * len(M) if serial else fit_many(md, M, kind, start, mask, counts)
-                 for kind in kinds]
-    shares = counts.split()
+    size = _BLOCK_ELEMENTS // max(md.n_obs, 1)
+    size = size if size >= _MIN_BLOCK_ROWS else 1  # 1: refitted serially
     n_alpha, n_beta = md.X.shape[1], md.Z.shape[1]
-    out = [[] for _ in kinds]
-    for b, m in enumerate(M):
-        if mask is None:
-            md_b = md.with_counts(m, shares[b])
-        else:
-            keep = mask[b]
-            index = [md.record(i) for i in np.flatnonzero(keep).tolist()]
-            md_b = ModelData(m=m[keep], log_N=md.log_N[keep], log_ratio=md.log_ratio[keep],
-                             X=md.X[keep], Z=md.Z[keep], index=index)
-        for kind, pre, refits in zip(kinds, presolved, out):
-            own = ParamVector.unstack(start[b], n_alpha, n_beta, kind_family(kind).has_dispersion)
-            try:
-                params, _, _, conv = fit_kind(md_b, kind, pre[b] or own, FitOptions())
-                refits.append(params if conv.converged else None)
-            except FIT_ERRORS:
-                refits.append(None)
-    return out
+    for lo in range(0, B, size):
+        drawn = [r for r in map(draw, range(lo, min(lo + size, B))) if r is not None]
+        if not drawn:
+            continue
+        M, start, keeps, extras = zip(*drawn)
+        M, start = np.array(M, dtype=float), np.array(start, dtype=float)
+        mask = None if keeps[0] is None else np.array(keeps, dtype=bool)
+        counts = DistinctCounts.of(M)
+        presolved = [[None] * len(M) if size == 1 else fit_many(md, M, kind, start, mask, counts)
+                     for kind in kinds]
+        shares = counts.split()
+        for b, (m, keep, extra) in enumerate(zip(M, keeps, extras)):
+            if keep is None:
+                md_b = md.with_counts(m, shares[b])
+            else:
+                index = [md.record(i) for i in np.flatnonzero(keep).tolist()]
+                md_b = ModelData(m=m[keep], log_N=md.log_N[keep], log_ratio=md.log_ratio[keep],
+                                 X=md.X[keep], Z=md.Z[keep], index=index)
+            refits = []
+            for kind, pre in zip(kinds, presolved):
+                own = ParamVector.unstack(start[b], n_alpha, n_beta, kind_needs_phi(kind))
+                try:
+                    params, _, _, conv = fit_kind(md_b, kind, pre[b] or own, FitOptions())
+                    refits.append(params if conv.converged else None)
+                except FIT_ERRORS:
+                    refits.append(None)
+            yield extra, refits
 
 
 def xi_from_alpha(md: ModelData, alpha: np.ndarray) -> float:
@@ -570,8 +572,9 @@ def fit(data: Dataset, model: ModelSpec, options: FitOptions | None = None) -> F
 def xi_decompose(fit: FittedModel, by: str) -> dict[str, float]:
     """Partial sums of N_i^(x_i'alpha) over a grouping; sums to xi_hat.
 
-    ``by`` is "country", "country:<label>" (that country vs the rest), or a
-    domain-variable name. Groups appear in the order of their first record.
+    ``by`` is "country", "country:<label>" (that country vs the rest),
+    "period" (one estimate per reference date) or a domain-variable name.
+    Groups appear in the order of their first record.
     """
     return _xi_groups(fit.data, fit.params.alpha, fit.dataset, by)
 
@@ -585,7 +588,7 @@ def _xi_groups(md: ModelData, alpha, data: Dataset, by: str) -> dict[str, float]
         first = bool(in_label[:1].any())
         codes = in_label != first  # False for the group of the first record
         labels = [label, f"not {label}"] if first else [f"not {label}", label]
-    elif by == "country" or by in data.domain_names:
+    elif by in data.codes:
         codes, levels = data.codes[by]
         labels = list(levels)
     else:

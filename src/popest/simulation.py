@@ -19,7 +19,7 @@ from .distributions import sample_many, CountFamily, Family, Truncation
 from .meanmodel import ModelData
 # fit_kind is called by mle.refit_many, not here; bench/trace_worker.py wraps
 # simulation.fit_kind, which must stay mle.fit_kind, or its fit counts are lost.
-from .mle import fit_kind, linearized_start, presolve_rows, refit_many, xi_from_alpha
+from .mle import fit_kind, linearized_start, refit_many, xi_from_alpha
 
 VARIANT_KINDS = {
     "zhang-approx": "zhang",
@@ -98,50 +98,28 @@ def _init_from_arrays(m, log_N, log_ratio) -> tuple[float, float, float]:
 
 
 def _draw(b: int, design: SimDesign, log_N, log_ratio, mu):
-    """Replicate b's counts, the strata it keeps and the linearized start on
-    those; None when fewer than 3 strata are kept."""
+    """Replicate b for ``mle.refit_many``: (counts, with 1, valid for every
+    variant, in the dropped strata; the linearized start on the kept strata;
+    the mask of those strata; no extra), or None when fewer than 3 strata
+    are kept."""
     rng = np.random.default_rng([design.seed, b])
     fam = CountFamily(Family.NB2, Truncation.NONE)
     m = sample_many(fam, mu, design.phi_true, rng).astype(float)
     keep = m > 0 if design.drop_zeros else np.ones(len(m), dtype=bool)
     if int(keep.sum()) < 3:
         return None
-    return m, keep, _init_from_arrays(m[keep], log_N[keep], log_ratio[keep])
-
-
-def _refits(design: SimDesign, log_N, log_ratio, mu) -> list[list[tuple]]:
-    """Per variant, the (alpha, beta, phi, xi) of each converged refit, in
-    replicate order. Replicates run in blocks of ``presolve_rows``: the
-    draws, then ``mle.refit_many`` over the block's replicates with enough
-    strata."""
-    ones = np.ones((len(mu), 1))
-    md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
-    kinds = [VARIANT_KINDS[variant] for variant in design.variants]
-    size = presolve_rows(len(mu))
-    out = [[] for _ in kinds]
-    for lo in range(0, design.B, size):
-        drawn = [r for b in range(lo, min(lo + size, design.B))
-                 if (r := _draw(b, design, log_N, log_ratio, mu)) is not None]
-        if drawn:
-            m, keep, starts = (np.array(x) for x in zip(*drawn))
-            # Dropped strata hold count 1, valid for every variant; the mask
-            # leaves them out of each fit.
-            refits = refit_many(md, np.where(keep, m, 1.0), kinds, starts, keep)
-            for rows, params in zip(out, refits):
-                rows.extend((float(p.alpha[0]), float(p.beta[0]), float(p.phi),
-                             xi_from_alpha(md, p.alpha)) for p in params if p is not None)
-    return out
+    start = _init_from_arrays(m[keep], log_N[keep], log_ratio[keep])
+    return np.where(keep, m, 1.0), start, keep, None
 
 
 def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationReport:
     """Fit every variant to ``design.B`` replicate panels and aggregate.
 
-    Replicates run in blocks of ``mle.presolve_rows`` replicates, so memory
-    does not grow with B, and each block's refits of every variant, from
-    each replicate's linearized start on its kept strata, are those of
-    ``mle.refit_many``. ``threads`` (and the
-    ``POPEST_THREADS`` environment variable) is accepted and has no effect;
-    results do not depend on it.
+    ``mle.refit_many`` draws the replicates and refits every variant on
+    each one's kept strata; a replicate that keeps fewer than 3 strata is
+    not fitted and counts as a failure of every variant. ``threads`` (and
+    the ``POPEST_THREADS`` environment variable) is accepted and has no
+    effect; results do not depend on it.
     """
     if design.B < 2:
         raise ValueError("B must be >= 2")
@@ -158,9 +136,19 @@ def run_simulation(design: SimDesign, threads: int | None = None) -> SimulationR
         "xi": xi_true,
     }
 
+    ones = np.ones((len(mu), 1))
+    md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
+    estimates = [[] for _ in design.variants]  # (alpha, beta, phi, xi) of each converged refit
+    draw = lambda b: _draw(b, design, log_N, log_ratio, mu)
+    for _, refits in refit_many(md, design.B, draw, [VARIANT_KINDS[v] for v in design.variants]):
+        for rows, p in zip(estimates, refits):
+            if p is not None:
+                rows.append((float(p.alpha[0]), float(p.beta[0]), float(p.phi),
+                             xi_from_alpha(md, p.alpha)))
+
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     failures: dict[str, int] = {}
-    for variant, rows in zip(design.variants, _refits(design, log_N, log_ratio, mu)):
+    for variant, rows in zip(design.variants, estimates):
         failures[variant] = design.B - len(rows)
         columns = zip(*rows) if rows else [[np.nan]] * len(PARAMETERS)
         metrics[variant] = {p: aggregate_metrics(c, truth[p]) for p, c in zip(PARAMETERS, columns)}

@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import sample_many
 # fit_kind is called by mle.refit_many, not here; bench/trace_worker.py wraps
 # uncertainty.fit_kind, which must stay mle.fit_kind, or its fit counts are lost.
-from .mle import FittedModel, fit_kind, presolve_rows, refit_many, xi_from_alpha
+from .mle import FittedModel, fit_kind, refit_many, xi_from_alpha
 from .meanmodel import ParamVector
 
 
@@ -150,9 +150,10 @@ def _draw_eta_star(
     raise RuntimeError("exceeded 100 redraws waiting for a positive phi*")
 
 
-def _draw(b: int, seed: int, fit: FittedModel, root: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """Replicate b's draws: (xi_star, regenerated counts, phi redraws).
-    ``root`` is the symmetric square root of ``fit.covariance``."""
+def _draw(b: int, seed: int, fit: FittedModel, root: np.ndarray):
+    """Replicate b for ``mle.refit_many``: (regenerated counts, start
+    ``fit.params``, no mask, (xi_star, phi redraws)). ``root`` is the
+    symmetric square root of ``fit.covariance``."""
     rng = np.random.default_rng([seed, b])
     md = fit.data
     has_phi = fit.params.phi is not None
@@ -161,7 +162,7 @@ def _draw(b: int, seed: int, fit: FittedModel, root: np.ndarray) -> tuple[float,
     xi_star = xi_from_alpha(md, params_star.alpha)
     mu_star = md.mu_values(params_star)
     m_star = sample_many(fit.model.family, mu_star, params_star.phi, rng)
-    return xi_star, m_star.astype(float), redraws
+    return m_star.astype(float), fit.params.stacked(), None, (xi_star, redraws)
 
 
 def parametric_bootstrap(
@@ -179,10 +180,9 @@ def parametric_bootstrap(
     successful refits, and left out when fewer than 2 (10) succeeded; mse is
     over their pairs, NaN when none succeeded.
 
-    The replicates run in blocks of ``mle.presolve_rows`` replicates, so
-    memory does not grow with B, and each block's refits from ``fit.params``
-    are those of ``mle.refit_many``. Each replicate's draws come from its
-    own generator, so results do not depend on the blocks.
+    ``mle.refit_many`` draws and refits the replicates from ``fit.params``;
+    each replicate's draws come from its own generator, so results do not
+    depend on how the driver blocks them.
     ``threads`` (and the ``POPEST_THREADS`` environment variable) is accepted
     and has no effect; results do not depend on it.
     """
@@ -193,16 +193,12 @@ def parametric_bootstrap(
     _check_level(level)
     root = _sym_sqrt(np.asarray(fit.covariance, dtype=float))
     md, kind = fit.data, fit.model.family.token
-    size = presolve_rows(len(md.m))
     xi_star, xi_hat, redraws = [], [], 0
-    for lo in range(0, B, size):
-        block = [_draw(b, seed, fit, root) for b in range(lo, min(lo + size, B))]
-        (refits,) = refit_many(md, np.array([m for _, m, _ in block]), [kind], fit.params.stacked())
-        for (xs, _, r), params in zip(block, refits):
-            redraws += r
-            if params is not None:
-                xi_star.append(xs)
-                xi_hat.append(xi_from_alpha(md, params.alpha))
+    for (xs, r), (params,) in refit_many(md, B, lambda b: _draw(b, seed, fit, root), [kind]):
+        redraws += r
+        if params is not None:
+            xi_star.append(xs)
+            xi_hat.append(xi_from_alpha(md, params.alpha))
     failures = B - len(xi_star)
 
     xs, xh = np.array(xi_star), np.array(xi_hat)

@@ -129,7 +129,7 @@ def test_parse_row_rules(tmp_path):
 def test_dataset_columns_keys_and_codes_follow_the_records():
     records = (
         rec("B", 2, 3, 50, domain=("M",)),
-        rec("A", 1, 5, 100),
+        rec("A", 1, 5, 100, period="Q2"),
         rec("B", 4, 6, 70),
     )
     data = Dataset(records=records, domain_names=("sex",))
@@ -142,6 +142,7 @@ def test_dataset_columns_keys_and_codes_follow_the_records():
         ("country", [r.country for r in records]),
         ("sex", [r.domain[0] for r in records]),
         (None, [r.domain for r in records]),
+        ("period", [r.period for r in records]),
     ):
         codes, levels = data.codes[variable]
         assert list(levels) == list(dict.fromkeys(values))  # first-appearance order

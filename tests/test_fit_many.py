@@ -323,6 +323,57 @@ def _rows_and_starts():
     return md, M, starts
 
 
+def test_refit_many_blocks_skip_undrawn_replicates(monkeypatch):
+    # Blocks of 4 replicates: replicate 0 (first of block 0), 7 (last of
+    # block 1) and 8-11 (all of block 2) are not drawn. Odd replicates keep
+    # two strata in three, even ones all of them.
+    md = prepare(synth_dataset(11, 40), DesignSpec())
+    M = np.array([synth_dataset(21 + b, 40).columns[0] for b in range(14)], dtype=float)
+    keep = np.ones(M.shape, dtype=bool)
+    keep[1::2, ::3] = False
+    kinds = ("ztnb2", "nb2")
+    undrawn = {0, 7, 8, 9, 10, 11}
+    events = []
+
+    def draw(b):
+        events.append(("draw", b))
+        if b in undrawn:
+            return None
+        k = keep[b]
+        start = linearized_start(M[b][k], md.log_N[k], md.log_ratio[k])
+        return np.where(k, M[b], 1.0), start, k, b
+
+    def run():
+        return list(mle.refit_many(md, len(M), draw, kinds))
+
+    one_block = run()
+    assert mle._BLOCK_ELEMENTS // md.n_obs >= len(M)
+    real_many, real_kind = mle.fit_many, mle.fit_kind
+    with monkeypatch.context() as mp:
+        mp.setattr(mle, "_BLOCK_ELEMENTS", 4 * md.n_obs)
+        mp.setattr(mle, "fit_many", lambda md, M, kind, *a: (
+            events.append(("fit_many", len(M))) or real_many(md, M, kind, *a)))
+        mp.setattr(mle, "fit_kind", lambda md, kind, *a: (
+            events.append(("fit_kind", kind)) or real_kind(md, kind, *a)))
+        events.clear()
+        blocked = run()
+    assert [extra for extra, _ in blocked] == [1, 2, 3, 4, 5, 6, 12, 13]
+    assert [n for event, n in events if event == "fit_many"] == [3, 3, 3, 3, 2, 2]
+    assert sum(event == "fit_kind" for event, _ in events) == 8 * len(kinds)
+    # Block 2 draws its replicates and makes no fit_many or fit_kind call.
+    i, j = events.index(("draw", 8)), events.index(("draw", 12))
+    assert events[i:j] == [("draw", b) for b in (8, 9, 10, 11)]
+    assert [extra for extra, _ in one_block] == [extra for extra, _ in blocked]
+    converged = 0
+    for (_, want), (_, got) in zip(one_block, blocked):
+        for w, g in zip(want, got):
+            assert (w is None) == (g is None)
+            if w is not None:
+                converged += 1
+                np.testing.assert_allclose(g.stacked(), w.stacked(), rtol=1e-10)
+    assert converged >= 12
+
+
 def _start(theta):
     return ParamVector(np.array([theta[0]]), np.array([theta[1]]), phi=float(theta[2]))
 
@@ -467,8 +518,10 @@ def test_refit_many_equals_one_fit_kind_per_row(monkeypatch, masked):
             presolves = count_presolves(mp, mle)
             fail_refits(mp, mle, lambda kind, i: fails[kind].get(i))
             seen = record_statuses(mp, mle)
-            mask = keep if masked else None
-            out.append(mle.refit_many(md, np.where(keep, M, 1.0), kinds, starts, mask))
+            counts = np.where(keep, M, 1.0)
+            draw = lambda b: (counts[b], starts[b], keep[b] if masked else None, None)
+            refits = [params for _, params in mle.refit_many(md, len(M), draw, kinds)]
+            out.append(list(zip(*refits)))
         assert presolves == ([] if serial else [len(M)] * len(kinds))
         statuses.append([status for status, _ in seen])
         iterations.append(sum(n for _, n in seen))

@@ -384,7 +384,7 @@ def test_xi_decompose_constant_grouping():
 
 def test_xi_decompose_partition_sums(ztnb2_dataset, ztnb2_model):
     fitted = fit(ztnb2_dataset, ztnb2_model)
-    for by in ("country", "country:Ukraine", "sex", "age"):
+    for by in ("country", "country:Ukraine", "sex", "age", "period"):
         groups = xi_decompose(fitted, by)
         assert sum(groups.values()) == pytest.approx(fitted.xi_hat, abs=1e-10)
     with pytest.raises(ValueError, match="grouping"):

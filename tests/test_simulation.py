@@ -85,20 +85,17 @@ def _replicate_args(design):
 
 def _per_replicate(design):
     """variant -> estimates or None, per replicate: the replicates that keep
-    enough strata are refitted by ``mle.refit_many``, in one block as
-    ``run_simulation`` refits them for these designs."""
+    enough strata are refitted by ``mle.refit_many``, called as
+    ``run_simulation`` calls it."""
     log_N, log_ratio, mu = _replicate_args(design)
-    assert design.B <= mle.presolve_rows(len(mu))
     ones = np.ones((len(mu), 1))
     md = ModelData(m=ones[:, 0], log_N=log_N, log_ratio=log_ratio, X=ones, Z=ones, index=[])
-    drawn = [_draw(b, design, log_N, log_ratio, mu) for b in range(design.B)]
-    out = [dict.fromkeys(design.variants) for _ in drawn]
-    fitted = [b for b, r in enumerate(drawn) if r is not None]
-    m, keep, starts = (np.array(x) for x in zip(*(drawn[b] for b in fitted)))
+    draw = lambda b: _draw(b, design, log_N, log_ratio, mu)
+    out = [dict.fromkeys(design.variants) for _ in range(design.B)]
+    fitted = [b for b in range(design.B) if draw(b) is not None]
     kinds = [VARIANT_KINDS[variant] for variant in design.variants]
-    refits = mle.refit_many(md, np.where(keep, m, 1.0), kinds, starts, keep)
-    for variant, rows in zip(design.variants, refits):
-        for b, params in zip(fitted, rows):
+    for b, (_, refits) in zip(fitted, mle.refit_many(md, design.B, draw, kinds), strict=True):
+        for variant, params in zip(design.variants, refits):
             if params is not None:
                 out[b][variant] = {"alpha": float(params.alpha[0]), "beta": float(params.beta[0]),
                                    "phi": float(params.phi), "xi": mle.xi_from_alpha(md, params.alpha)}
@@ -146,8 +143,8 @@ def test_replicate_with_too_few_strata_fails_every_variant(monkeypatch):
     dropped = [b for b in range(design.B) if _draw(b, design, log_N, log_ratio, mu) is None]
     assert 0 < len(dropped) < design.B
     truth = ParamVector(np.array([design.alpha_true]), np.array([design.beta_true]), design.phi_true)
-    monkeypatch.setattr(simulation, "refit_many",
-                        lambda md, M, kinds, start, mask: [[truth] * len(M) for _ in kinds])
+    monkeypatch.setattr(simulation, "refit_many", lambda md, B, draw, kinds: (
+        (None, [truth] * len(kinds)) for b in range(B) if draw(b) is not None))
     report = run_simulation(design)
     assert report.failures == dict.fromkeys(design.variants, len(dropped))
     assert report.metrics["zt-nb2"]["alpha"] == {"rb_percent": 0.0, "rrmse_percent": 0.0}
