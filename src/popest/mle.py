@@ -41,17 +41,10 @@ _MAX_HALVINGS = 30
 # (the covariance is (-H)^-1). Below it the fit is converged and takes no
 # further step, which could raise the log-likelihood by only about half of it.
 _DECREMENT_TOL = 1e-8
-# refit_many takes replicates in blocks of at most this many records, so the
-# kernel's temporaries stay small (32 KiB each) at no measurable cost in time.
+# refit_many pre-solves replicates in blocks of at most this many records,
+# or of one replicate where that alone is larger, so the kernel's
+# temporaries stay small (32 KiB each) at no measurable cost in time.
 _BLOCK_ELEMENTS = 4096
-# The pre-solve saves per-call overhead, and costs more per record than
-# fit_kind: its stacked sums are masked, and its rows' distinct counts are
-# taken from the block's on every evaluation. A ztnb2 bootstrap (B = 40,
-# medians of two batches of 7 and 9 alternated runs) took 0.42-0.43 of the
-# serial time at 106 records, 0.66-0.70 at 524 (7 rows a block), 0.97-0.98
-# at 1 042 (3 rows), 1.18-1.21 at 1 768 (2 rows) and 1.17-1.34 at 2 786 and
-# 4 790 (1 row), so blocks of fewer rows than this are refitted serially.
-_MIN_BLOCK_ROWS = 4
 # What a failed fit raises (bad data or parameters, a numerical failure, a
 # singular system); callers that count or report failed fits catch these.
 FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
@@ -366,7 +359,7 @@ def fit_kind(
         try:
             params = _params_from_internal(th[0], n_alpha, n_beta, has_phi)
             return np.array([loglik_kind(md, kind, params)])
-        except (FloatingPointError, RuntimeError, ValueError):
+        except (RuntimeError, ValueError):
             return np.array([-np.inf])
 
     it, g, H = 0, None, None
@@ -379,9 +372,11 @@ def fit_kind(
         # scaled through their views, g and H are on the internal scale too
         return _log_phi_scale(g[None], H[None], np.exp(th[:, -1:]) if has_phi else None)
 
-    ll = objective(None, theta)
+    # unlike a probe, the start raises loglik_kind's error, which names the record
+    clipped = _params_from_internal(theta[0], n_alpha, n_beta, has_phi)
+    ll = np.array([loglik_kind(md, kind, clipped)])
     if not np.isfinite(ll[0]):
-        raise ValueError("log-likelihood is non-finite at the starting values")
+        raise NumericalError("log-likelihood is non-finite at the starting values")
     if options.trace is not None:
         options.trace.append(float(ll[0]))
     (status,) = _newton(theta, ll, grad_hess, objective, options, has_phi)
@@ -491,16 +486,15 @@ def refit_many(md: ModelData, B: int, draw, kinds):
     kind.
 
     Replicates are drawn in blocks of as many as fit in ``_BLOCK_ELEMENTS``
-    records, so memory does not grow with B, or one at a time where fewer
-    than ``_MIN_BLOCK_ROWS`` fit. Blocks of more are first solved by
-    ``fit_many`` for each kind. Each refit is one ``fit_kind`` call with
-    ``FitOptions()``, which decides its status, from the pre-solved
-    parameters, typically one score/Hessian evaluation, or else its start.
+    records, at least one, so memory does not grow with B, and each block is
+    first solved by ``fit_many`` for each kind. Each refit is one
+    ``fit_kind`` call with ``FitOptions()``, which decides its status, from
+    the pre-solved parameters, typically one score/Hessian evaluation, or
+    else its start.
     A block's distinct counts are sorted once; an unmasked row takes its
     share of them, and a masked row is refitted on its kept strata.
     """
-    size = _BLOCK_ELEMENTS // max(md.n_obs, 1)
-    size = size if size >= _MIN_BLOCK_ROWS else 1  # 1: refitted serially
+    size = max(_BLOCK_ELEMENTS // max(md.n_obs, 1), 1)
     n_alpha, n_beta = md.X.shape[1], md.Z.shape[1]
     for lo in range(0, B, size):
         drawn = [r for r in map(draw, range(lo, min(lo + size, B))) if r is not None]
@@ -510,8 +504,7 @@ def refit_many(md: ModelData, B: int, draw, kinds):
         M, start = np.array(M, dtype=float), np.array(start, dtype=float)
         mask = None if keeps[0] is None else np.array(keeps, dtype=bool)
         counts = DistinctCounts.of(M)
-        presolved = [[None] * len(M) if size == 1 else fit_many(md, M, kind, start, mask, counts)
-                     for kind in kinds]
+        presolved = [fit_many(md, M, kind, start, mask, counts) for kind in kinds]
         shares = counts.split()
         for b, (m, keep, extra) in enumerate(zip(M, keeps, extras)):
             if keep is None:

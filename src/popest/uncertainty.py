@@ -58,8 +58,9 @@ def percentile_interval(samples, level: float) -> tuple[float, float]:
     """Empirical quantiles with the linear-interpolation rule h = (n-1)p + 1.
 
     The arithmetic is that of ``np.quantile(..., method="linear")``, bit for
-    bit, written out because np.quantile calls np.unique, whose first call
-    imports numpy.ma, which no command otherwise loads.
+    bit, written out because np.quantile imports numpy.ma, which no command
+    otherwise loads: it calls np.unique without ``return_inverse``, the form
+    that tests for a masked array (``DistinctCounts.of`` asks for the inverse).
     """
     _check_level(level, whole_sample=True)
     x = np.asarray(samples, dtype=float)

@@ -147,14 +147,14 @@ def count_presolves(monkeypatch, module) -> list:
     return rows
 
 
-@pytest.mark.parametrize("block, rows", [(5, [5] * 6), (3, [])])
-def test_bootstrap_blocks_and_the_serial_choice(monkeypatch, block, rows):
-    # Blocks of 5 replicates are pre-solved one at a time; where fewer than
-    # 4 replicates fit in a block, no replicate is pre-solved.
+@pytest.mark.parametrize("block, rows", [(5, [5] * 6), (3, [3] * 10), (0.5, [1] * 30)])
+def test_bootstrap_presolves_blocks_of_every_size(monkeypatch, block, rows):
+    # Blocks of 5 and of 3 replicates are pre-solved one at a time, and so is
+    # each replicate where a block holds fewer records than one replicate.
     boot_fit = _boot_fit(11, "ztnb2")
     n = len(boot_fit.data.m)
     with monkeypatch.context() as mp:
-        mp.setattr(mle, "_BLOCK_ELEMENTS", block * n)
+        mp.setattr(mle, "_BLOCK_ELEMENTS", int(block * n))
         seen = count_presolves(mp, mle)
         blocked = parametric_bootstrap(boot_fit, B=30, seed=4)
     assert seen == rows
@@ -162,11 +162,11 @@ def test_bootstrap_blocks_and_the_serial_choice(monkeypatch, block, rows):
     _assert_same_bootstrap(blocked, parametric_bootstrap(boot_fit, B=30, seed=4))
 
 
-@pytest.mark.parametrize("block, rows", [(5, [5, 5, 2]), (3, [])])
-def test_simulation_blocks_and_the_serial_choice(monkeypatch, block, rows):
+@pytest.mark.parametrize("block, rows", [(5, [5, 5, 2]), (3, [3] * 4), (0.5, [1] * 12)])
+def test_simulation_presolves_blocks_of_every_size(monkeypatch, block, rows):
     design = SimDesign(population=tuple(synthetic_population(40, 2)), B=12, seed=2)
     with monkeypatch.context() as mp:
-        mp.setattr(mle, "_BLOCK_ELEMENTS", block * 40)
+        mp.setattr(mle, "_BLOCK_ELEMENTS", int(block * 40))
         seen = count_presolves(mp, mle)
         blocked = run_simulation(design)
     assert seen == [r for r in rows for _ in design.variants]
@@ -501,38 +501,41 @@ def test_masked_strata_are_left_out():
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_refit_many_equals_one_fit_kind_per_row(monkeypatch, masked):
-    # With and without the pre-solve, each row's refit of each kind is the
-    # fit_kind refit from its start on its kept strata, and a refit that
-    # raises or stalls is None.
+    # Pre-solved in one block of 3 rows, pre-solved one row a block (a block
+    # holds fewer records than a row), or refitted from its start, each
+    # row's refit of each kind is the fit_kind refit from its start on its
+    # kept strata, and a refit that raises or stalls is None.
     md, M, starts = _rows_and_starts()
     keep = np.ones(M.shape, dtype=bool)
     if masked:
         keep[:, ::3] = False
     kinds = ("ztnb2", "nb2")
     fails = {"ztnb2": {1: "raise"}, "nb2": {2: "stall"}}
-    out, statuses, iterations = [], [], []
-    for serial in (False, True):
+    out, presolves, statuses, iterations = [], [], [], []
+    for elements in (mle._BLOCK_ELEMENTS, md.n_obs - 1, None):  # None: refitted from the start
         with monkeypatch.context() as mp:
-            if serial:  # fewer than _MIN_BLOCK_ROWS rows fit in a block
-                mp.setattr(mle, "_BLOCK_ELEMENTS", 3 * md.n_obs)
-            presolves = count_presolves(mp, mle)
+            presolves.append(count_presolves(mp, mle))
+            if elements is None:
+                converge_no_row(mp, mle)
+            else:
+                mp.setattr(mle, "_BLOCK_ELEMENTS", elements)
             fail_refits(mp, mle, lambda kind, i: fails[kind].get(i))
             seen = record_statuses(mp, mle)
             counts = np.where(keep, M, 1.0)
             draw = lambda b: (counts[b], starts[b], keep[b] if masked else None, None)
             refits = [params for _, params in mle.refit_many(md, len(M), draw, kinds)]
             out.append(list(zip(*refits)))
-        assert presolves == ([] if serial else [len(M)] * len(kinds))
         statuses.append([status for status, _ in seen])
         iterations.append(sum(n for _, n in seen))
-    assert statuses[0] == statuses[1] == [
+    assert statuses[0] == statuses[1] == statuses[2] == [
         "converged", "converged", "RuntimeError", "converged", "converged", "stalled"
     ]
-    assert iterations[0] < iterations[1]
-    for kind, presolved, serial in zip(kinds, *out):
-        for b, (got, want) in enumerate(zip(presolved, serial)):
+    assert presolves[:2] == [[3, 3], [1] * 6]
+    assert max(iterations[:2]) < iterations[2]
+    for kind, *presolved, serial in zip(kinds, *out):
+        for b, want in enumerate(serial):
             if b in fails[kind]:
-                assert got is None and want is None
+                assert want is None and all(got[b] is None for got in presolved)
                 continue
             k = keep[b]
             md_b = ModelData(m=M[b][k], log_N=md.log_N[k], log_ratio=md.log_ratio[k],
@@ -540,4 +543,5 @@ def test_refit_many_equals_one_fit_kind_per_row(monkeypatch, masked):
             params, _, _, conv = fit_kind(md_b, kind, _start(starts[b]), FitOptions())
             assert conv.converged
             np.testing.assert_allclose(want.stacked(), params.stacked(), rtol=0, atol=0)
-            np.testing.assert_allclose(got.stacked(), params.stacked(), rtol=1e-10)
+            for got in presolved:
+                np.testing.assert_allclose(got[b].stacked(), params.stacked(), rtol=1e-10)

@@ -345,6 +345,21 @@ def test_nan_count_in_model_data_names_the_record():
         fit_kind(md, "ztnb2", start)
 
 
+@pytest.mark.parametrize("kind", ["po", "ztnb2"])
+def test_non_finite_start_names_the_record(kind):
+    # At alpha = 60, mu overflows in record b (N = 1e6) only: the start
+    # raises loglik_kind's error, which names that record.
+    N = np.array([100.0, 1e6, 300.0])
+    md = ModelData(
+        m=np.array([2.0, 3.0, 4.0]), log_N=np.log(N), log_ratio=np.log([0.1, 0.1, 0.1]),
+        X=np.ones((3, 1)), Z=np.ones((3, 1)), index=["a", "b", "c"],
+    )
+    start = ParamVector(np.array([60.0]), np.array([0.5]), 2.0 if kind == "ztnb2" else None)
+    with pytest.raises(distributions.NumericalError,
+                       match=re.escape("non-finite log-likelihood term at record b")):
+        fit_kind(md, kind, start)
+
+
 @pytest.mark.parametrize("start", [(0.3, 0.0, np.e**3), (0.3, 0.8, np.e**10)])
 def test_nb2_converges_from_starts_with_an_indefinite_hessian(start):
     # From these starts -H is not positive definite; modified-Newton steps
